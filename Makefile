@@ -76,13 +76,15 @@ bench-policy:
 bench-timeline:
 	$(GO) run ./cmd/lsmbench -timeline BENCH_timeline.json -timeline-dur 8s
 
-# End-to-end observability smoke: open a store with the /metrics endpoint
-# on an ephemeral port, drive writes, scrape it, and require the core
-# metric families plus a parseable /debug/lsm dump. Then a short
-# -timeline run to prove the phase-span / flight-recorder path end to
-# end (artifact is discarded; bench-timeline emits the committed one).
+# End-to-end observability smoke: the /metrics exposition golden (every
+# family, HELP, TYPE, label and value at 1/2 shards x WAL off/on), live
+# scrapes of /metrics and /debug/lsm on an ephemeral port, background
+# write-stall counters live on /metrics, and /debug/lsm/timeline and
+# /debug/lsm/slow parsing with tracing off and on. Then a short -timeline
+# run to prove the phase-span / flight-recorder path end to end (artifact
+# is discarded; bench-timeline emits the committed one).
 obs-smoke:
-	$(GO) run ./cmd/obssmoke
+	$(GO) test -count=1 -run 'TestMetricsExpositionGolden|TestMetricsEndpoint|TestWriteStallCountersLiveOnMetrics|TestDebugEndpointsParseWithTracingOff|TestTimelineAndSlowEndpoints' .
 	$(GO) run ./cmd/lsmbench -timeline /tmp/lsmssd_timeline_smoke.json -timeline-dur 2s
 	rm -f /tmp/lsmssd_timeline_smoke.json
 

@@ -214,4 +214,12 @@ func TestRetryExhaustionDegrades(t *testing.T) {
 	if ss.Health != "degraded" || ss.HealthCause != "read-retries-exhausted" {
 		t.Fatalf("shard health %q cause %q, want degraded/read-retries-exhausted", ss.Health, ss.HealthCause)
 	}
+	// The aggregate folds the same record: retry counters and health.
+	st := db.Stats()
+	if st.RetriedReads != ss.RetriedReads || st.RetriesExhausted != ss.RetriesExhausted ||
+		st.Health != ss.Health || st.HealthCause != ss.HealthCause {
+		t.Fatalf("aggregate retried=%d exhausted=%d health %q/%q, want the shard's %d %d %q/%q",
+			st.RetriedReads, st.RetriesExhausted, st.Health, st.HealthCause,
+			ss.RetriedReads, ss.RetriesExhausted, ss.Health, ss.HealthCause)
+	}
 }

@@ -127,8 +127,8 @@ func TestDecodeCorrupt(t *testing.T) {
 
 func TestCapacityFor(t *testing.T) {
 	// Paper defaults: 4KB blocks, 100-byte payloads.
-	if b := CapacityFor(4096, 100); b < 30 || b > 40 {
-		t.Errorf("CapacityFor(4096,100) = %d, want ~36", b)
+	if b := CapacityFor(4096, 100); b != 36 {
+		t.Errorf("CapacityFor(4096,100) = %d, want 36", b)
 	}
 	// Extreme: 4000-byte payloads -> one record per block.
 	if b := CapacityFor(4096, 4000); b != 1 {
@@ -137,6 +137,23 @@ func TestCapacityFor(t *testing.T) {
 	// Degenerate: payload larger than block still yields 1.
 	if b := CapacityFor(4096, 10000); b != 1 {
 		t.Errorf("CapacityFor(4096,10000) = %d, want 1", b)
+	}
+}
+
+// TestCapacityForFitsEncoding: a block filled to CapacityFor records of
+// the hinted payload size must encode into one device block, i.e. the
+// capacity derivation and Encode agree on a record's on-device size.
+func TestCapacityForFitsEncoding(t *testing.T) {
+	for _, payload := range []int{0, 8, 32, 100, 1000, 4000} {
+		const blockSize = 4096
+		b := CapacityFor(blockSize, payload)
+		recs := make([]Record, b)
+		for i := range recs {
+			recs[i] = Record{Key: Key(i), Payload: make([]byte, payload)}
+		}
+		if err := New(recs).Encode(make([]byte, blockSize), blockSize); err != nil {
+			t.Errorf("payload %d: B=%d: %v", payload, b, err)
+		}
 	}
 }
 

@@ -39,9 +39,10 @@ func (r Record) String() string {
 }
 
 // RecordSize returns the on-device footprint in bytes of a record with the
-// given payload length: 8-byte key, 1-byte flags, and the payload.
+// given payload length: 8-byte key, 1-byte flags, 2-byte payload length,
+// and the payload (see the binary format in encode.go).
 func RecordSize(payloadLen int) int {
-	return 8 + 1 + payloadLen
+	return 8 + 1 + 2 + payloadLen
 }
 
 // CapacityFor returns the block capacity B for the given storage block size

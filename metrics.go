@@ -172,98 +172,98 @@ func (db *DB) SlowOps() []SpanEvent {
 	return db.tracer.SlowOps()
 }
 
+// metricRow defines one scalar metric family as a projection of
+// ShardStats. The aggregate family reads Stats' embedded aggregate; when
+// shard is set and the DB has more than one shard, a second family of
+// that name reads every Shards entry through the same value func, one
+// sample per shard label. wal rows exist only while the WAL is on.
+type metricRow struct {
+	name, help       string
+	typ              obs.FamilyType
+	value            func(*ShardStats) float64
+	wal              bool
+	shard, shardHelp string
+}
+
+// scalarMetrics is the table of scalar /metrics families: adding one is
+// adding a row.
+var scalarMetrics = []metricRow{
+	{name: "lsmssd_blocks_written_total", typ: obs.TypeCounter, help: "Data blocks written to the device (the paper's cost metric).", value: func(s *ShardStats) float64 { return float64(s.BlocksWritten) },
+		shard: "lsmssd_shard_blocks_written_total", shardHelp: "Data blocks written by the shard's tree."},
+	{name: "lsmssd_blocks_read_total", typ: obs.TypeCounter, help: "Data blocks read from the device (cache misses only when caching is on).", value: func(s *ShardStats) float64 { return float64(s.BlocksRead) }},
+	{name: "lsmssd_live_blocks", typ: obs.TypeGauge, help: "Device blocks currently allocated.", value: func(s *ShardStats) float64 { return float64(s.LiveBlocks) }},
+	{name: "lsmssd_requests_total", typ: obs.TypeCounter, help: "Modification requests processed (inserts plus deletes).", value: func(s *ShardStats) float64 { return float64(s.Requests) },
+		shard: "lsmssd_shard_requests_total", shardHelp: "Modification requests routed to the shard."},
+	{name: "lsmssd_inserts_total", typ: obs.TypeCounter, help: "Insert/update requests processed.", value: func(s *ShardStats) float64 { return float64(s.Inserts) }},
+	{name: "lsmssd_deletes_total", typ: obs.TypeCounter, help: "Delete requests processed.", value: func(s *ShardStats) float64 { return float64(s.Deletes) }},
+	{name: "lsmssd_lookups_total", typ: obs.TypeCounter, help: "Point lookups served.", value: func(s *ShardStats) float64 { return float64(s.Lookups) }},
+	{name: "lsmssd_scans_total", typ: obs.TypeCounter, help: "Range scans started.", value: func(s *ShardStats) float64 { return float64(s.Scans) }},
+	{name: "lsmssd_request_bytes_total", typ: obs.TypeCounter, help: "Key+payload bytes of modifications processed.", value: func(s *ShardStats) float64 { return float64(s.RequestBytes) }},
+	{name: "lsmssd_merges_total", typ: obs.TypeCounter, help: "Merges executed.", value: func(s *ShardStats) float64 { return float64(s.Merges) }},
+	{name: "lsmssd_full_merges_total", typ: obs.TypeCounter, help: "Merges that took a whole source level.", value: func(s *ShardStats) float64 { return float64(s.FullMerges) }},
+	{name: "lsmssd_height", typ: obs.TypeGauge, help: "Tree height including the memtable level.", value: func(s *ShardStats) float64 { return float64(s.Height) },
+		shard: "lsmssd_shard_height", shardHelp: "Shard tree height including the memtable level."},
+	{name: "lsmssd_records", typ: obs.TypeGauge, help: "Records stored, including shadowed versions and tombstones.", value: func(s *ShardStats) float64 { return float64(s.Records) },
+		shard: "lsmssd_shard_records", shardHelp: "Records stored in the shard, including shadowed versions and tombstones."},
+	{name: "lsmssd_memtable_records", typ: obs.TypeGauge, help: "Records currently in the memtable (L0).", value: func(s *ShardStats) float64 { return float64(s.MemtableRecords) }},
+	{name: "lsmssd_cache_hits_total", typ: obs.TypeCounter, help: "Buffer-cache hits.", value: func(s *ShardStats) float64 { return float64(s.CacheHits) }},
+	{name: "lsmssd_cache_misses_total", typ: obs.TypeCounter, help: "Buffer-cache misses.", value: func(s *ShardStats) float64 { return float64(s.CacheMisses) }},
+	{name: "lsmssd_bloom_skipped_total", typ: obs.TypeCounter, help: "Block reads avoided by Bloom filters.", value: func(s *ShardStats) float64 { return float64(s.BloomSkipped) }},
+	{name: "lsmssd_bloom_passed_total", typ: obs.TypeCounter, help: "Lookups Bloom filters could not rule out.", value: func(s *ShardStats) float64 { return float64(s.BloomPassed) }},
+	{name: "lsmssd_compaction_queue_depth", typ: obs.TypeGauge, help: "Overflowing merge sources (memtable and full levels) awaiting compaction; always 0 in sync mode.", value: func(s *ShardStats) float64 { return float64(s.Compaction.QueueDepth) }},
+	{name: "lsmssd_compaction_steps_total", typ: obs.TypeCounter, help: "Cascade steps executed by the background compaction schedulers.", value: func(s *ShardStats) float64 { return float64(s.Compaction.Steps) }},
+	{name: "lsmssd_quarantined_blocks", typ: obs.TypeGauge, help: "Corrupt blocks currently quarantined (pinned, excluded from merges) across all shards.", value: func(s *ShardStats) float64 { return float64(s.Quarantined) }},
+	{name: "lsmssd_wal_enabled", typ: obs.TypeGauge, help: "1 when the write-ahead log is on.", wal: true, value: func(*ShardStats) float64 { return 1 }},
+	{name: "lsmssd_wal_appends_total", typ: obs.TypeCounter, help: "WAL frames appended (one per Put/Delete/Apply).", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Appends) }},
+	{name: "lsmssd_wal_ops_total", typ: obs.TypeCounter, help: "Operations inside appended WAL frames.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Ops) }},
+	{name: "lsmssd_wal_bytes_total", typ: obs.TypeCounter, help: "WAL frame bytes written, headers included.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Bytes) }},
+	{name: "lsmssd_wal_syncs_total", typ: obs.TypeCounter, help: "WAL fsyncs issued by the sync policy or checkpoints.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Syncs) }},
+	{name: "lsmssd_wal_rotations_total", typ: obs.TypeCounter, help: "WAL segments sealed (each seals a checkpoint).", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Rotations) }},
+	{name: "lsmssd_wal_segments", typ: obs.TypeGauge, help: "WAL segment files currently on disk.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Segments) }},
+	{name: "lsmssd_wal_last_seq", typ: obs.TypeGauge, help: "Sequence of the newest logged frame.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.LastSeq) }},
+	{name: "lsmssd_wal_recovered_ops_total", typ: obs.TypeCounter, help: "Operations re-applied by crash recovery at Open.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Recovery.Ops) }},
+	{name: "lsmssd_wal_recovered_torn_bytes_total", typ: obs.TypeCounter, help: "Bytes truncated from the WAL's torn tail at Open.", wal: true, value: func(s *ShardStats) float64 { return float64(s.WAL.Recovery.TornBytes) }},
+}
+
+func shardLabel(n int) []obs.Label {
+	return []obs.Label{{Name: "shard", Value: strconv.Itoa(n)}}
+}
+
 // metricFamilies materializes the /metrics payload from a Stats snapshot.
 // Called per scrape from HTTP handler goroutines; everything it reads is
 // lock-free or behind the few-instruction view mutex.
 func (db *DB) metricFamilies() []obs.Family {
 	s := db.Stats()
-	counter := func(name, help string, v int64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: obs.TypeCounter,
-			Samples: []obs.Sample{{Value: float64(v)}}}
-	}
-	gauge := func(name, help string, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: obs.TypeGauge,
-			Samples: []obs.Sample{{Value: v}}}
-	}
-	fams := []obs.Family{
-		counter("lsmssd_blocks_written_total", "Data blocks written to the device (the paper's cost metric).", s.BlocksWritten),
-		counter("lsmssd_blocks_read_total", "Data blocks read from the device (cache misses only when caching is on).", s.BlocksRead),
-		gauge("lsmssd_live_blocks", "Device blocks currently allocated.", float64(s.LiveBlocks)),
-		counter("lsmssd_requests_total", "Modification requests processed (inserts plus deletes).", s.Requests),
-		counter("lsmssd_inserts_total", "Insert/update requests processed.", s.Inserts),
-		counter("lsmssd_deletes_total", "Delete requests processed.", s.Deletes),
-		counter("lsmssd_lookups_total", "Point lookups served.", s.Lookups),
-		counter("lsmssd_scans_total", "Range scans started.", s.Scans),
-		counter("lsmssd_request_bytes_total", "Key+payload bytes of modifications processed.", s.RequestBytes),
-		counter("lsmssd_merges_total", "Merges executed.", s.Merges),
-		counter("lsmssd_full_merges_total", "Merges that took a whole source level.", s.FullMerges),
-		gauge("lsmssd_height", "Tree height including the memtable level.", float64(s.Height)),
-		gauge("lsmssd_records", "Records stored, including shadowed versions and tombstones.", float64(s.Records)),
-		gauge("lsmssd_memtable_records", "Records currently in the memtable (L0).", float64(s.MemtableRecords)),
-		counter("lsmssd_cache_hits_total", "Buffer-cache hits.", s.CacheHits),
-		counter("lsmssd_cache_misses_total", "Buffer-cache misses.", s.CacheMisses),
-		counter("lsmssd_bloom_skipped_total", "Block reads avoided by Bloom filters.", s.BloomSkipped),
-		counter("lsmssd_bloom_passed_total", "Lookups Bloom filters could not rule out.", s.BloomPassed),
-		counter("lsmssd_event_drops_total", "Observability events dropped because sinks lagged.", db.bus.Drops()),
-		gauge("lsmssd_compaction_queue_depth", "Overflowing merge sources (memtable and full levels) awaiting compaction; always 0 in sync mode.", float64(s.Compaction.QueueDepth)),
-		counter("lsmssd_compaction_steps_total", "Cascade steps executed by the background compaction schedulers.", s.Compaction.Steps),
-		gauge("lsmssd_shards", "Number of key-space shards (independent LSM trees) behind this DB.", float64(len(db.shards))),
-		gauge("lsmssd_quarantined_blocks", "Corrupt blocks currently quarantined (pinned, excluded from merges) across all shards.", float64(s.Quarantined)),
-	}
-	{
-		hf := obs.Family{
-			Name: "lsmssd_shard_health",
-			Help: "Shard fault-domain state: 0 healthy, 1 degraded, 2 read-only, 3 failed.",
-			Type: obs.TypeGauge,
+	var fams []obs.Family
+	for _, m := range scalarMetrics {
+		if m.wal && !s.WAL.Enabled {
+			continue
 		}
-		for _, sh := range db.shards {
-			hf.Samples = append(hf.Samples, obs.Sample{
-				Labels: []obs.Label{{Name: "shard", Value: strconv.Itoa(sh.id)}},
-				Value:  float64(sh.health.State()),
-			})
+		fams = append(fams, obs.Family{Name: m.name, Help: m.help, Type: m.typ,
+			Samples: []obs.Sample{{Value: m.value(&s.ShardStats)}}})
+		if m.shard == "" || len(s.Shards) < 2 {
+			continue
 		}
-		fams = append(fams, hf)
+		f := obs.Family{Name: m.shard, Help: m.shardHelp, Type: m.typ}
+		for i := range s.Shards {
+			f.Samples = append(f.Samples, obs.Sample{Labels: shardLabel(s.Shards[i].Shard), Value: m.value(&s.Shards[i])})
+		}
+		fams = append(fams, f)
 	}
-	if len(db.shards) > 1 {
-		shardLabel := func(n int) []obs.Label {
-			return []obs.Label{{Name: "shard", Value: strconv.Itoa(n)}}
-		}
-		perShard := []struct {
-			name, help string
-			typ        obs.FamilyType
-			value      func(ShardStats) float64
-		}{
-			{"lsmssd_shard_blocks_written_total", "Data blocks written by the shard's tree.", obs.TypeCounter,
-				func(ss ShardStats) float64 { return float64(ss.BlocksWritten) }},
-			{"lsmssd_shard_requests_total", "Modification requests routed to the shard.", obs.TypeCounter,
-				func(ss ShardStats) float64 { return float64(ss.Requests) }},
-			{"lsmssd_shard_records", "Records stored in the shard, including shadowed versions and tombstones.", obs.TypeGauge,
-				func(ss ShardStats) float64 { return float64(ss.Records) }},
-			{"lsmssd_shard_height", "Shard tree height including the memtable level.", obs.TypeGauge,
-				func(ss ShardStats) float64 { return float64(ss.Height) }},
-		}
-		for _, m := range perShard {
-			f := obs.Family{Name: m.name, Help: m.help, Type: m.typ}
-			for _, ss := range s.Shards {
-				f.Samples = append(f.Samples, obs.Sample{Labels: shardLabel(ss.Shard), Value: m.value(ss)})
-			}
-			fams = append(fams, f)
-		}
+	hf := obs.Family{
+		Name: "lsmssd_shard_health",
+		Help: "Shard fault-domain state: 0 healthy, 1 degraded, 2 read-only, 3 failed.",
+		Type: obs.TypeGauge,
 	}
-	if s.WAL.Enabled {
-		fams = append(fams,
-			gauge("lsmssd_wal_enabled", "1 when the write-ahead log is on.", 1),
-			counter("lsmssd_wal_appends_total", "WAL frames appended (one per Put/Delete/Apply).", s.WAL.Appends),
-			counter("lsmssd_wal_ops_total", "Operations inside appended WAL frames.", s.WAL.Ops),
-			counter("lsmssd_wal_bytes_total", "WAL frame bytes written, headers included.", s.WAL.Bytes),
-			counter("lsmssd_wal_syncs_total", "WAL fsyncs issued by the sync policy or checkpoints.", s.WAL.Syncs),
-			counter("lsmssd_wal_rotations_total", "WAL segments sealed (each seals a checkpoint).", s.WAL.Rotations),
-			gauge("lsmssd_wal_segments", "WAL segment files currently on disk.", float64(s.WAL.Segments)),
-			gauge("lsmssd_wal_last_seq", "Sequence of the newest logged frame.", float64(s.WAL.LastSeq)),
-			counter("lsmssd_wal_recovered_ops_total", "Operations re-applied by crash recovery at Open.", int64(s.WAL.Recovery.Ops)),
-			counter("lsmssd_wal_recovered_torn_bytes_total", "Bytes truncated from the WAL's torn tail at Open.", s.WAL.Recovery.TornBytes),
-		)
+	for _, ss := range s.Shards {
+		hf.Samples = append(hf.Samples, obs.Sample{Labels: shardLabel(ss.Shard), Value: float64(ss.state)})
 	}
+	fams = append(fams, hf,
+		obs.Family{Name: "lsmssd_event_drops_total", Help: "Observability events dropped because sinks lagged.", Type: obs.TypeCounter,
+			Samples: []obs.Sample{{Value: float64(db.bus.Drops())}}},
+		obs.Family{Name: "lsmssd_shards", Help: "Number of key-space shards (independent LSM trees) behind this DB.", Type: obs.TypeGauge,
+			Samples: []obs.Sample{{Value: float64(len(s.Shards))}}},
+	)
 	stallKind := func(kind string) []obs.Label {
 		return []obs.Label{{Name: "kind", Value: kind}}
 	}
@@ -379,9 +379,6 @@ func (db *DB) metricFamilies() []obs.Family {
 		fams = append(fams, pf)
 	}
 	if latest := db.recorder.Latest(); len(latest) > 0 {
-		shardLabel := func(n int) []obs.Label {
-			return []obs.Label{{Name: "shard", Value: strconv.Itoa(n)}}
-		}
 		timeline := []struct {
 			name, help string
 			value      func(TimelineSample) float64
@@ -412,87 +409,32 @@ func (db *DB) metricFamilies() []obs.Family {
 	return fams
 }
 
-// debugLevelJSON is one storage level in the /debug/lsm dump.
-type debugLevelJSON struct {
-	Level          int     `json:"level"`
-	Blocks         int     `json:"blocks"`
-	Records        int     `json:"records"`
-	CapacityBlocks int     `json:"capacity_blocks"`
-	WasteFactor    float64 `json:"waste_factor"`
-	BlocksWritten  int64   `json:"blocks_written"`
-	Compactions    int64   `json:"compactions"`
+// debugState is the /debug/lsm payload: the Stats snapshot, whose fields
+// encoding/json flattens to the top level, plus the engine internals
+// Stats does not carry — the policy name, the snapshot machinery (live
+// views, deferred frees), bus drops, and, while any shard is unhealthy,
+// DB.Health's per-shard error text and quarantined blocks.
+type debugState struct {
+	Policy        string        `json:"policy"`
+	LiveViews     int           `json:"live_views"`
+	DeferredFrees int64         `json:"deferred_frees"`
+	EventDrops    int64         `json:"event_drops"`
+	ShardHealth   []ShardHealth `json:"shard_health,omitempty"`
+	Stats
 }
 
-// debugStateJSON is the /debug/lsm payload: per-level state plus the
-// snapshot-machinery internals (live views, deferred frees) that Stats
-// does not expose.
-type debugStateJSON struct {
-	Policy          string           `json:"policy"`
-	Shards          int              `json:"shards"`
-	Height          int              `json:"height"`
-	Records         int              `json:"records"`
-	MemtableRecords int              `json:"memtable_records"`
-	BlocksWritten   int64            `json:"blocks_written"`
-	BlocksRead      int64            `json:"blocks_read"`
-	LiveBlocks      int64            `json:"live_blocks"`
-	LiveViews       int              `json:"live_views"`
-	DeferredFrees   int64            `json:"deferred_frees"`
-	EventDrops      int64            `json:"event_drops"`
-	CompactionMode  string           `json:"compaction_mode"`
-	CompactionQueue int              `json:"compaction_queue_depth"`
-	WriteStalls     int64            `json:"write_stalls"`
-	Health          string           `json:"health"`
-	Quarantined     int              `json:"quarantined_blocks"`
-	ShardHealth     []ShardHealth    `json:"shard_health,omitempty"`
-	WAL             *WALStats        `json:"wal,omitempty"`
-	Levels          []debugLevelJSON `json:"levels"`
-	Latencies       []LatencyStats   `json:"latencies,omitempty"`
-}
-
-func (db *DB) debugState() debugStateJSON {
-	s := db.Stats()
-	liveViews, deferredFrees := 0, int64(0)
+func (db *DB) debugState() debugState {
+	d := debugState{
+		Policy:     db.opts.MergePolicy.String(),
+		EventDrops: db.bus.Drops(),
+		Stats:      db.Stats(),
+	}
 	for _, sh := range db.shards {
-		liveViews += sh.tree.LiveViews()
-		deferredFrees += sh.tree.DeferredFrees()
+		d.LiveViews += sh.tree.LiveViews()
+		d.DeferredFrees += sh.tree.DeferredFrees()
 	}
-	d := debugStateJSON{
-		Policy:          db.opts.MergePolicy.String(),
-		Shards:          len(db.shards),
-		Height:          s.Height,
-		Records:         s.Records,
-		MemtableRecords: s.MemtableRecords,
-		BlocksWritten:   s.BlocksWritten,
-		BlocksRead:      s.BlocksRead,
-		LiveBlocks:      s.LiveBlocks,
-		LiveViews:       liveViews,
-		DeferredFrees:   deferredFrees,
-		EventDrops:      db.bus.Drops(),
-		CompactionMode:  s.Compaction.Mode,
-		CompactionQueue: s.Compaction.QueueDepth,
-		WriteStalls:     s.Compaction.Slowdowns + s.Compaction.Stops,
-		Health:          s.Health,
-		Quarantined:     s.Quarantined,
-		Latencies:       s.Latencies,
-	}
-	hr := db.Health()
-	if hr.State != health.Healthy.String() {
-		d.ShardHealth = hr.Shards
-	}
-	if s.WAL.Enabled {
-		w := s.WAL
-		d.WAL = &w
-	}
-	for _, l := range s.Levels {
-		d.Levels = append(d.Levels, debugLevelJSON{
-			Level:          l.Level,
-			Blocks:         l.Blocks,
-			Records:        l.Records,
-			CapacityBlocks: l.CapacityBlocks,
-			WasteFactor:    l.WasteFactor,
-			BlocksWritten:  l.BlocksWritten,
-			Compactions:    l.Compactions,
-		})
+	if d.Health != health.Healthy.String() {
+		d.ShardHealth = db.Health().Shards
 	}
 	return d
 }

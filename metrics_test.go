@@ -1,13 +1,24 @@
 package lsmssd
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"lsmssd/internal/obs"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // obsOptions mirrors the external tests' smallOptions: tiny levels so a
 // few thousand requests exercise many merges.
@@ -302,5 +313,179 @@ func TestResetIOStatsUniformWindow(t *testing.T) {
 	}
 	if s3 := db.Stats(); s3.Inserts != 1 {
 		t.Errorf("post-reset Inserts = %d, want 1", s3.Inserts)
+	}
+}
+
+// TestMetricsExpositionGolden pins the full /metrics exposition — every
+// family name, HELP, TYPE, label and value — for a deterministic run in
+// four configurations (1 or 2 shards, WAL off or on). Latency recording
+// is off and compaction is synchronous, so every value is a pure function
+// of the options and the workload. Regenerate with `go test -run
+// TestMetricsExpositionGolden -update .` only when the exposition is meant
+// to change.
+func TestMetricsExpositionGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, shards := range []int{1, 2} {
+		for _, walOn := range []bool{false, true} {
+			opts := obsOptions()
+			opts.Shards = shards
+			opts.CacheBlocks = 16
+			opts.BloomBitsPerKey = 10
+			opts.Seed = 1
+			opts.Path = filepath.Join(t.TempDir(), "store.blk")
+			opts.WAL = WALOptions{Enabled: walOn, Sync: SyncEvery}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 3000; i++ {
+				k := i * 2654435761 % 4000
+				if i%7 == 3 {
+					err = db.Delete(k)
+				} else {
+					err = db.Put(k, []byte(fmt.Sprintf("v%d", i)))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := uint64(0); k < 4000; k += 37 {
+				if _, _, err := db.Get(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Scan(100, 400, func(uint64, []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			fams := db.metricFamilies()
+			sort.SliceStable(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
+			fmt.Fprintf(&got, "## shards=%d wal=%v\n", shards, walOn)
+			if err := obs.WriteProm(&got, fams); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	golden := filepath.Join("testdata", "metrics_exposition.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metrics exposition differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.Bytes(), want)
+	}
+}
+
+// getBody fetches url and returns the response body, failing the test on
+// a transport error or a non-200 status.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d", url, resp.StatusCode)
+	}
+	return body
+}
+
+// TestDebugEndpointsParseWithTracingOff: with tracing off the slow ring is
+// empty and the flight recorder may not have ticked yet, yet both
+// latency-attribution endpoints must still serve valid JSON.
+func TestDebugEndpointsParseWithTracingOff(t *testing.T) {
+	opts := obsOptions()
+	opts.MetricsAddr = "127.0.0.1:0"
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := uint64(0); i < 500; i++ {
+		if err := db.Put(i*2654435761%1_000_000, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := "http://" + db.MetricsAddr()
+	var timeline [][]TimelineSample
+	if err := json.Unmarshal(getBody(t, base+"/debug/lsm/timeline"), &timeline); err != nil {
+		t.Errorf("/debug/lsm/timeline: %v", err)
+	}
+	var slow []SpanEvent
+	if err := json.Unmarshal(getBody(t, base+"/debug/lsm/slow"), &slow); err != nil {
+		t.Errorf("/debug/lsm/slow: %v", err)
+	}
+	if len(slow) != 0 {
+		t.Errorf("/debug/lsm/slow holds %d spans with tracing off", len(slow))
+	}
+}
+
+// TestWriteStallCountersLiveOnMetrics drives a background-compaction store
+// with the tightest legal triggers until admission stalls, then requires
+// the stall to reach the bus as a StallEvent and /metrics as a nonzero
+// lsmssd_write_stalls_total sample — live counters, not just declared
+// families.
+func TestWriteStallCountersLiveOnMetrics(t *testing.T) {
+	opts := obsOptions()
+	opts.MetricsAddr = "127.0.0.1:0"
+	opts.CompactionMode = BackgroundCompaction
+	opts.SlowdownTrigger = opts.MemtableBlocks
+	opts.StopTrigger = opts.MemtableBlocks + 1
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	var stallEvents atomic.Int64 // delivered on the bus's dispatcher goroutine
+	cancel := db.Subscribe(func(ev Event) {
+		if _, ok := ev.(StallEvent); ok {
+			stallEvents.Add(1)
+		}
+	})
+	defer cancel()
+
+	stalled := func() bool {
+		c := db.Stats().Compaction
+		return c.Slowdowns+c.Stops > 0
+	}
+	for i := uint64(0); i < 200_000 && !stalled(); i++ {
+		if err := db.Put(i*2654435761%1_000_000, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !stalled() {
+		t.Fatal("200k writes against a 2-block L0 never tripped backpressure")
+	}
+	for deadline := time.Now().Add(5 * time.Second); stallEvents.Load() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stalls counted but no StallEvent reached the bus")
+		}
+	}
+
+	live := false
+	for _, line := range strings.Split(string(getBody(t, "http://"+db.MetricsAddr()+"/metrics")), "\n") {
+		if strings.HasPrefix(line, "lsmssd_write_stalls_total{") && !strings.HasSuffix(line, " 0") {
+			live = true
+		}
+	}
+	if !live {
+		t.Error("stalls happened but every lsmssd_write_stalls_total sample is 0")
 	}
 }

@@ -263,3 +263,24 @@ func TestBackgroundCloseMidCascade(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultGeometryFileStore: with the default block size and payload
+// hint, a file-backed store must accept full-size values through its
+// first flushes and merges — the derived RecordsPerBlock has to leave
+// room for every byte Encode writes per record.
+func TestDefaultGeometryFileStore(t *testing.T) {
+	db, err := lsmssd.Open(lsmssd.Options{Path: filepath.Join(t.TempDir(), "db.blk")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := make([]byte, 100)
+	for k := uint64(0); k < 12_000; k++ {
+		if err := db.Put(k, val); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	if s := db.Stats(); s.BlocksWritten == 0 {
+		t.Fatalf("12k puts never flushed (height %d)", s.Height)
+	}
+}

@@ -14,11 +14,11 @@ import (
 // SSDs writes dominate cost and wear, so merge policies are compared by
 // this number, typically normalized per megabyte of requests.
 //
-// On a sharded DB (Options.Shards > 1) the top-level fields aggregate
-// across shards — counters sum, Height is the maximum, per-level rows
-// with the same level number combine — and Shards carries the per-shard
-// breakdown. With the default single shard the aggregate fields are
-// exactly the one shard's, unchanged from the unsharded engine.
+// The embedded ShardStats is the aggregate across shards — counters sum,
+// Height is the maximum, per-level rows with the same level number
+// combine, Health is the worst shard's — and Shards carries the per-shard
+// breakdown. With the default single shard the aggregate is exactly the
+// one shard's record, unchanged from the unsharded engine.
 //
 // Reset semantics: every cumulative counter in Stats — device traffic,
 // request accounting, merge counts, the per-level write series, cache and
@@ -29,126 +29,156 @@ import (
 // fields (Height, Records, MemtableRecords, LiveBlocks, per-level shapes)
 // describe the present and are never reset.
 type Stats struct {
+	ShardStats
+
+	// Shards holds the per-shard breakdown, one entry per shard in shard
+	// order — always populated, a single entry for an unsharded DB.
+	Shards []ShardStats `json:"shards"`
+}
+
+// ShardStats is one shard's accounting record, scoped to the shard's own
+// tree, device, scheduler, and write-ahead log. Stats embeds the same
+// record as the aggregate over all shards. It is the single definition
+// behind Stats, the /metrics families, and the /debug/lsm dump.
+type ShardStats struct {
+	// Shard is the shard index (keys route here when key & (Shards-1) ==
+	// Shard); zero in the aggregate.
+	Shard int `json:"shard"`
+
 	// Device traffic.
-	BlocksWritten int64
-	BlocksRead    int64
-	LiveBlocks    int64
+	BlocksWritten int64 `json:"blocks_written"`
+	BlocksRead    int64 `json:"blocks_read"`
+	LiveBlocks    int64 `json:"live_blocks"`
 
 	// Request accounting.
-	Requests     int64
-	Inserts      int64
-	Deletes      int64
-	Lookups      int64
-	Scans        int64
-	RequestBytes int64
+	Requests     int64 `json:"requests"`
+	Inserts      int64 `json:"inserts"`
+	Deletes      int64 `json:"deletes"`
+	Lookups      int64 `json:"lookups"`
+	Scans        int64 `json:"scans"`
+	RequestBytes int64 `json:"request_bytes"`
 
 	// Structure.
-	Height          int // tallest shard's height
-	Records         int // records stored, including shadowed versions and tombstones
-	MemtableRecords int
+	Height          int `json:"height"`  // tallest shard's height in the aggregate
+	Records         int `json:"records"` // records stored, including shadowed versions and tombstones
+	MemtableRecords int `json:"memtable_records"`
 
 	// Merge accounting.
-	Merges     int64
-	FullMerges int64
-	Levels     []LevelStats
+	Merges     int64        `json:"merges"`
+	FullMerges int64        `json:"full_merges"`
+	Levels     []LevelStats `json:"levels"`
 
 	// Cache and Bloom effectiveness (zero when the feature is off).
-	CacheHits    int64
-	CacheMisses  int64
-	BloomSkipped int64
-	BloomPassed  int64
+	CacheHits    int64 `json:"cache_hits"`
+	CacheMisses  int64 `json:"cache_misses"`
+	BloomSkipped int64 `json:"bloom_skipped"`
+	BloomPassed  int64 `json:"bloom_passed"`
 
 	// Latencies summarizes the per-operation latency histograms, one entry
 	// per operation that recorded at least one observation. Empty unless
 	// Options.Metrics (or MetricsAddr, which implies it) enabled latency
-	// recording. Point operations are timed against the owning shard —
-	// each entry here merges the per-shard histograms, and Shards carries
-	// the per-shard breakdown — while multi-shard ops (Scan) are timed
-	// once at the router.
-	Latencies []LatencyStats
+	// recording. Point operations are timed against the owning shard;
+	// multi-shard ops (Scan) are timed once at the router, so only the
+	// aggregate carries them. The aggregate entries merge the router's
+	// and every shard's histograms.
+	Latencies []LatencyStats `json:"latencies,omitempty"`
 
-	// Compaction reports the merge schedulers' state and write-stall
-	// accounting, summed across shards; its counters participate in the
-	// uniform reset window.
-	Compaction CompactionStats
+	// Compaction reports the merge scheduler's state and write-stall
+	// accounting; its counters participate in the uniform reset window.
+	Compaction CompactionStats `json:"compaction"`
 
 	// WAL reports write-ahead log traffic and the recovery Open performed,
-	// if any, summed across shards; LastSeq is the sum of the per-shard
+	// if any; in the aggregate LastSeq is the sum of the per-shard
 	// sequences (the total number of frames ever logged). Zero value when
 	// Options.WAL is disabled. The traffic counters (Appends through
 	// Rotations) participate in the uniform reset window; Segments,
 	// LastSeq, and Recovery describe the present.
-	WAL WALStats
+	WAL WALStats `json:"wal"`
 
-	// Health is the worst shard's fault-domain state ("healthy",
-	// "degraded", "read-only", "failed"); DB.Health has the full
-	// per-shard report. Quarantined counts corrupt blocks currently
-	// quarantined across all shards.
-	Health      string
-	Quarantined int
-
-	// Shards holds the per-shard breakdown, one entry per shard in shard
-	// order — always populated, a single entry for an unsharded DB.
-	Shards []ShardStats
-}
-
-// ShardStats is one shard's share of the Stats snapshot: the same
-// counters and structure as the aggregate, scoped to the shard's own
-// tree, device, scheduler, and write-ahead log.
-type ShardStats struct {
-	Shard int // shard index; keys route here when key & (Shards-1) == Shard
-
-	BlocksWritten int64
-	BlocksRead    int64
-	LiveBlocks    int64
-
-	Requests     int64
-	Inserts      int64
-	Deletes      int64
-	Lookups      int64
-	Scans        int64
-	RequestBytes int64
-
-	Height          int
-	Records         int
-	MemtableRecords int
-
-	Merges     int64
-	FullMerges int64
-	Levels     []LevelStats
-
-	CacheHits    int64
-	CacheMisses  int64
-	BloomSkipped int64
-	BloomPassed  int64
-
-	// Latencies summarizes this shard's per-operation histograms (point
-	// ops routed here, plus the shard's own merge/stall/WAL series).
-	// Empty unless Options.Metrics enabled latency recording.
-	Latencies []LatencyStats
-
-	Compaction CompactionStats
-	WAL        WALStats
-
-	// Health is this shard's fault-domain state; HealthCause tags the
-	// last transition ("" while healthy since Open). See DB.Health for
-	// the quarantined-block details.
-	Health      string
-	HealthCause string
-	// Quarantined counts this shard's quarantined corrupt blocks.
-	Quarantined int
+	// Health is the fault-domain state ("healthy", "degraded",
+	// "read-only", "failed"); HealthCause tags the last transition (""
+	// while healthy since Open). The aggregate carries the worst shard's
+	// pair. DB.Health has the full report with quarantined-block details.
+	Health      string `json:"health"`
+	HealthCause string `json:"health_cause,omitempty"`
+	// Quarantined counts corrupt blocks currently quarantined.
+	Quarantined int `json:"quarantined_blocks"`
 	// RetriedReads counts device reads that needed at least one retry;
 	// RetriesExhausted counts reads that failed even after the full
 	// backoff schedule (each demotes the shard to Degraded).
-	RetriedReads     int64
-	RetriesExhausted int64
+	RetriedReads     int64 `json:"retried_reads"`
+	RetriesExhausted int64 `json:"retries_exhausted"`
 	// Scrub accounting (zero unless Options.ScrubInterval is set):
 	// passes completed, blocks verified, corruption found, and blocks
 	// repaired from a surviving cached copy.
-	ScrubPasses   int64
-	ScrubChecked  int64
-	ScrubCorrupt  int64
-	ScrubRepaired int64
+	ScrubPasses   int64 `json:"scrub_passes"`
+	ScrubChecked  int64 `json:"scrub_checked"`
+	ScrubCorrupt  int64 `json:"scrub_corrupt"`
+	ScrubRepaired int64 `json:"scrub_repaired"`
+
+	state health.State // Health as an ordered value
+}
+
+// add folds o into the aggregate s: counters and sizes sum, Height is
+// the maximum, Health is the worse of the two, and the WAL and recovery
+// flags are set if either side's is. Levels and Latencies need every
+// shard at once; Stats merges them separately.
+func (s *ShardStats) add(o *ShardStats) {
+	s.BlocksWritten += o.BlocksWritten
+	s.BlocksRead += o.BlocksRead
+	s.LiveBlocks += o.LiveBlocks
+	s.Requests += o.Requests
+	s.Inserts += o.Inserts
+	s.Deletes += o.Deletes
+	s.Lookups += o.Lookups
+	s.Scans += o.Scans
+	s.RequestBytes += o.RequestBytes
+	s.Height = max(s.Height, o.Height)
+	s.Records += o.Records
+	s.MemtableRecords += o.MemtableRecords
+	s.Merges += o.Merges
+	s.FullMerges += o.FullMerges
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.BloomSkipped += o.BloomSkipped
+	s.BloomPassed += o.BloomPassed
+
+	c, oc := &s.Compaction, &o.Compaction
+	c.Mode = oc.Mode // every shard runs the same mode
+	c.QueueDepth += oc.QueueDepth
+	c.L0Blocks += oc.L0Blocks
+	c.Steps += oc.Steps
+	c.Slowdowns += oc.Slowdowns
+	c.Stops += oc.Stops
+	c.SlowdownTime += oc.SlowdownTime
+	c.StopTime += oc.StopTime
+
+	w, ow := &s.WAL, &o.WAL
+	w.Enabled = w.Enabled || ow.Enabled
+	w.Appends += ow.Appends
+	w.Ops += ow.Ops
+	w.Bytes += ow.Bytes
+	w.Syncs += ow.Syncs
+	w.Rotations += ow.Rotations
+	w.Segments += ow.Segments
+	w.LastSeq += ow.LastSeq
+	r, or := &w.Recovery, &ow.Recovery
+	r.Recovered = r.Recovered || or.Recovered
+	r.Segments += or.Segments
+	r.Frames += or.Frames
+	r.Ops += or.Ops
+	r.TornBytes += or.TornBytes
+
+	if s.Health == "" || o.state > s.state {
+		s.state, s.Health, s.HealthCause = o.state, o.Health, o.HealthCause
+	}
+	s.Quarantined += o.Quarantined
+	s.RetriedReads += o.RetriedReads
+	s.RetriesExhausted += o.RetriesExhausted
+	s.ScrubPasses += o.ScrubPasses
+	s.ScrubChecked += o.ScrubChecked
+	s.ScrubCorrupt += o.ScrubCorrupt
+	s.ScrubRepaired += o.ScrubRepaired
 }
 
 // WALStats describes the write-ahead log (see Options.WAL).
@@ -215,14 +245,14 @@ type LatencyStats struct {
 // WasteFactor is the block-weighted mean, and Runs is the maximum across
 // shards (the read fan-out a point lookup can face at this level).
 type LevelStats struct {
-	Level          int // 1-based level number
-	Runs           int // sorted runs in the level (always 1 under Leveling)
-	Blocks         int
-	Records        int
-	CapacityBlocks int
-	WasteFactor    float64
-	BlocksWritten  int64 // cumulative writes into this level
-	Compactions    int64
+	Level          int     `json:"level"` // 1-based level number
+	Runs           int     `json:"runs"`  // sorted runs in the level (always 1 under Leveling)
+	Blocks         int     `json:"blocks"`
+	Records        int     `json:"records"`
+	CapacityBlocks int     `json:"capacity_blocks"`
+	WasteFactor    float64 `json:"waste_factor"`
+	BlocksWritten  int64   `json:"blocks_written"` // cumulative writes into this level
+	Compactions    int64   `json:"compactions"`
 }
 
 // Stats returns the current snapshot. It is lock-free: counters are read
@@ -230,132 +260,46 @@ type LevelStats struct {
 // snapshots, so Stats can be polled while writers and merges run. On a
 // closed DB it returns the zero Stats.
 func (db *DB) Stats() Stats {
-	per := make([]ShardStats, 0, len(db.shards))
+	s := Stats{Shards: make([]ShardStats, 0, len(db.shards))}
 	for _, sh := range db.shards {
 		ss, ok := sh.stats()
 		if !ok {
 			return Stats{}
 		}
-		per = append(per, ss)
+		s.add(&ss)
+		s.Shards = append(s.Shards, ss)
 	}
-
-	s := Stats{Shards: per}
-	for _, ss := range per {
-		s.BlocksWritten += ss.BlocksWritten
-		s.BlocksRead += ss.BlocksRead
-		s.LiveBlocks += ss.LiveBlocks
-		s.Requests += ss.Requests
-		s.Inserts += ss.Inserts
-		s.Deletes += ss.Deletes
-		s.Lookups += ss.Lookups
-		s.Scans += ss.Scans
-		s.RequestBytes += ss.RequestBytes
-		if ss.Height > s.Height {
-			s.Height = ss.Height
-		}
-		s.Records += ss.Records
-		s.MemtableRecords += ss.MemtableRecords
-		s.Merges += ss.Merges
-		s.FullMerges += ss.FullMerges
-		s.CacheHits += ss.CacheHits
-		s.CacheMisses += ss.CacheMisses
-		s.BloomSkipped += ss.BloomSkipped
-		s.BloomPassed += ss.BloomPassed
-
-		s.Compaction.QueueDepth += ss.Compaction.QueueDepth
-		s.Compaction.L0Blocks += ss.Compaction.L0Blocks
-		s.Compaction.Steps += ss.Compaction.Steps
-		s.Compaction.Slowdowns += ss.Compaction.Slowdowns
-		s.Compaction.Stops += ss.Compaction.Stops
-		s.Compaction.SlowdownTime += ss.Compaction.SlowdownTime
-		s.Compaction.StopTime += ss.Compaction.StopTime
-
-		if ss.WAL.Enabled {
-			s.WAL.Enabled = true
-			s.WAL.Appends += ss.WAL.Appends
-			s.WAL.Ops += ss.WAL.Ops
-			s.WAL.Bytes += ss.WAL.Bytes
-			s.WAL.Syncs += ss.WAL.Syncs
-			s.WAL.Rotations += ss.WAL.Rotations
-			s.WAL.Segments += ss.WAL.Segments
-			s.WAL.LastSeq += ss.WAL.LastSeq
-			s.WAL.Recovery.Recovered = s.WAL.Recovery.Recovered || ss.WAL.Recovery.Recovered
-			s.WAL.Recovery.Segments += ss.WAL.Recovery.Segments
-			s.WAL.Recovery.Frames += ss.WAL.Recovery.Frames
-			s.WAL.Recovery.Ops += ss.WAL.Recovery.Ops
-			s.WAL.Recovery.TornBytes += ss.WAL.Recovery.TornBytes
-		}
-	}
-	s.Compaction.Mode = per[0].Compaction.Mode
-	s.Levels = mergeLevels(per)
+	s.Levels = mergeLevels(s.Shards)
 	s.Latencies = db.latencyStats()
-	worst := health.Healthy
-	for _, sh := range db.shards {
-		if st := sh.health.State(); st > worst {
-			worst = st
-		}
-	}
-	s.Health = worst.String()
-	for _, ss := range per {
-		s.Quarantined += ss.Quarantined
-	}
 	return s
 }
 
 // mergeLevels combines the per-shard level rows by level number: counts
-// sum, WasteFactor is the block-weighted mean (plain mean when the level
-// is empty everywhere). For one shard this reproduces its rows exactly.
+// sum, Runs is the maximum, and WasteFactor is the block-weighted mean (0
+// for a level empty everywhere, as for an empty level of one shard). For
+// one shard this reproduces its rows exactly.
 func mergeLevels(per []ShardStats) []LevelStats {
-	maxLevel := 0
+	var out []LevelStats
+	var wasted []float64 // per level: sum of WasteFactor × Blocks
 	for _, ss := range per {
 		for _, lv := range ss.Levels {
-			if lv.Level > maxLevel {
-				maxLevel = lv.Level
+			for len(out) < lv.Level {
+				out = append(out, LevelStats{Level: len(out) + 1})
+				wasted = append(wasted, 0)
 			}
-		}
-	}
-	if maxLevel == 0 {
-		return nil
-	}
-	out := make([]LevelStats, maxLevel)
-	wasteBlocks := make([]float64, maxLevel)
-	wasteSum := make([]float64, maxLevel)
-	wasteN := make([]int, maxLevel)
-	for _, ss := range per {
-		for _, lv := range ss.Levels {
 			row := &out[lv.Level-1]
-			row.Level = lv.Level
-			if lv.Runs > row.Runs {
-				row.Runs = lv.Runs
-			}
+			row.Runs = max(row.Runs, lv.Runs)
 			row.Blocks += lv.Blocks
 			row.Records += lv.Records
 			row.CapacityBlocks += lv.CapacityBlocks
 			row.BlocksWritten += lv.BlocksWritten
 			row.Compactions += lv.Compactions
-			wasteBlocks[lv.Level-1] += float64(lv.Blocks)
-			wasteSum[lv.Level-1] += lv.WasteFactor * float64(lv.Blocks)
-			wasteN[lv.Level-1]++
+			wasted[lv.Level-1] += lv.WasteFactor * float64(lv.Blocks)
 		}
 	}
 	for i := range out {
-		if out[i].Level == 0 {
-			// No shard has this level (cannot happen with contiguous
-			// growth, but keep the row well-formed).
-			out[i].Level = i + 1
-		}
-		switch {
-		case wasteBlocks[i] > 0:
-			out[i].WasteFactor = wasteSum[i] / wasteBlocks[i]
-		case wasteN[i] == 1:
-			// A single empty level row: pass its factor through unchanged.
-			for _, ss := range per {
-				for _, lv := range ss.Levels {
-					if lv.Level == i+1 {
-						out[i].WasteFactor = lv.WasteFactor
-					}
-				}
-			}
+		if out[i].Blocks > 0 {
+			out[i].WasteFactor = wasted[i] / float64(out[i].Blocks)
 		}
 	}
 	return out
@@ -438,7 +382,8 @@ func (s *shard) stats() (ShardStats, bool) {
 			}
 		}
 	}
-	ss.Health = s.health.State().String()
+	ss.state = s.health.State()
+	ss.Health = ss.state.String()
 	ss.HealthCause, _ = s.health.Cause()
 	ss.Quarantined = s.tree.QuarantinedCount()
 	rs := s.rdev.RetryStats()
