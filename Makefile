@@ -43,21 +43,17 @@ race:
 
 # Parallel point-lookup throughput across 1/2/4/8 goroutines. Gets are
 # snapshot-isolated and lock-free, so on a multi-core machine ns/op should
-# drop substantially from goroutines=1 to goroutines=8. Also emits
-# BENCH_read.json (ops/s, p50/p99 latency, device counters) via
-# cmd/benchjson so PRs have a machine-diffable perf trajectory.
+# drop substantially from goroutines=1 to goroutines=8. The end-to-end
+# lookup numbers PRs are compared by come from perfbench/run.sh.
 bench-read:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentReads' -benchtime 2s .
-	$(GO) run ./cmd/benchjson -mode read -out BENCH_read.json
 
 # Concurrent write throughput and put-latency tail, sync vs background
 # compaction. Background should collapse the p99/max tail (the inline
-# cascade) into scheduler backpressure. Also emits BENCH_write.json via
-# cmd/benchjson: a shard sweep (1,2,4,8) whose ops/s curve should scale
-# near-linearly while each entry's blocks_written stays policy-determined.
+# cascade) into scheduler backpressure. The end-to-end ingest numbers PRs
+# are compared by come from perfbench/run.sh.
 bench-write:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentWrites|BenchmarkPutLatencyTail' -benchtime 2s .
-	$(GO) run ./cmd/benchjson -mode write -goroutines 8 -sweep 1,2,4,8 -out BENCH_write.json
 
 # Small-scale layout sweep: leveling vs tiering vs lazy leveling on
 # uniform, delete-heavy, and scan-heavy mixes, via the deterministic

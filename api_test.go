@@ -171,6 +171,43 @@ func TestWriteBatchRoundTrip(t *testing.T) {
 	if err := db.Apply(b); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
+
+	// A zero-value batch is bound to no DB; Apply partitions it by the
+	// receiving DB's shard layout.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("zero-value/shards=%d", shards), func(t *testing.T) {
+			opts := smallOpts()
+			opts.Shards = shards
+			db, err := lsmssd.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			const n = 203
+			b := &lsmssd.WriteBatch{}
+			for k := uint64(0); k < n; k++ {
+				b.Put(k, []byte(fmt.Sprintf("z%d", k)))
+			}
+			if err := db.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < n; k++ {
+				v, ok, err := db.Get(k)
+				if err != nil || !ok || string(v) != fmt.Sprintf("z%d", k) {
+					t.Fatalf("Get(%d) = %q, %v, %v", k, v, ok, err)
+				}
+			}
+			want := make([]int64, shards)
+			for k := 0; k < n; k++ {
+				want[k&(shards-1)]++
+			}
+			for i, ss := range db.Stats().Shards {
+				if ss.Inserts != want[i] {
+					t.Errorf("shard %d counted %d inserts, want %d", i, ss.Inserts, want[i])
+				}
+			}
+		})
+	}
 }
 
 // TestBatchMatchesSequential checks that a batched workload leaves the

@@ -121,8 +121,11 @@ func (db *DB) Apply(b *WriteBatch) error {
 		// An empty batch still goes through one shard's admission and
 		// cascade check, preserving the pre-sharding semantics (a stalled
 		// or failed engine reports it).
-		return db.applyShard(db.shards[0], nil)
+		return db.write(db.shards[0], obs.OpApply, nil)
 	}
+	// Each touched shard is a separate writer step with its own OpApply
+	// observation: a stall on shard 2 shows up on shard 2's timeline, not
+	// smeared across the batch.
 	for i, ops := range b.perShard {
 		if len(ops) == 0 {
 			continue
@@ -131,22 +134,9 @@ func (db *DB) Apply(b *WriteBatch) error {
 		if b.db != nil {
 			s = db.shards[i]
 		}
-		if err := db.applyShard(s, ops); err != nil {
+		if err := db.write(s, obs.OpApply, ops); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// applyShard runs one shard's slice of a batch under its own latency
-// series and phase span: each touched shard is a separate atomic writer
-// step, so each gets its own OpApply observation — a stall on shard 2
-// shows up on shard 2's timeline, not smeared across the batch.
-func (db *DB) applyShard(s *shard, ops []core.BatchOp) error {
-	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpApply, s.id)
-	err := s.applyOps(ops, sp)
-	sp.Finish()
-	s.lat.Done(obs.OpApply, start)
-	return err
 }

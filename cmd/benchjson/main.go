@@ -1,132 +1,49 @@
-// Command benchjson runs a fixed write or read workload against the
-// engine and emits a machine-readable result file (BENCH_write.json /
-// BENCH_read.json via the Makefile), so successive PRs have a perf
-// trajectory to diff instead of eyeballing `go test -bench` output.
-//
-// The workload is deterministic (seeded key stream, fixed op count), so
-// two runs on the same tree state report the same BlocksWritten; latency
-// and throughput fields carry the machine noise. Reported fields: ops/s,
-// p50/p99/max per-op latency, and the device counters.
+// Command benchjson runs the small-scale layout sweep — leveling,
+// tiering, and lazy leveling, each measured on uniform, delete-heavy, and
+// scan-heavy request mixes through the experiment harness — and emits the
+// write-amp/read-amp tradeoff curve as BENCH_policy.json. The harness is
+// deterministic (no latency fields), so two runs at the same seed and
+// scale emit identical files.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -mode write -out BENCH_write.json
-//	go run ./cmd/benchjson -mode read  -out BENCH_read.json
-//	go run ./cmd/benchjson -mode write -sweep 1,2,4,8 -out BENCH_write.json
 //	go run ./cmd/benchjson -mode policy -out BENCH_policy.json
 //
-// -shards runs the workload against a sharded engine (Options.Shards);
-// -sweep repeats the run once per listed shard count and emits a JSON
-// array, the shard-scaling curve the sharding work is judged by.
-//
-// -mode policy runs the small-scale layout sweep instead: leveling,
-// tiering, and lazy leveling, each measured on uniform, delete-heavy, and
-// scan-heavy request mixes through the experiment harness (deterministic,
-// no latency fields). The emitted array is the write-amp/read-amp
-// tradeoff curve the layout work is judged by.
+// Throughput and latency of the engine's point operations are measured by
+// the repository benchmark (perfbench/run.sh: the ingest, lookup, and
+// mixed workloads).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
 
-	"lsmssd"
 	"lsmssd/internal/experiments"
 )
 
-// result is the JSON document benchjson emits (one element of the array
-// under -sweep).
-type result struct {
-	Mode          string  `json:"mode"`
-	Shards        int     `json:"shards"`
-	Ops           int     `json:"ops"`
-	Goroutines    int     `json:"goroutines"`
-	ElapsedNS     int64   `json:"elapsed_ns"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	P50NS         int64   `json:"p50_ns"`
-	P99NS         int64   `json:"p99_ns"`
-	MaxNS         int64   `json:"max_ns"`
-	BlocksWritten int64   `json:"blocks_written"`
-	BlocksRead    int64   `json:"blocks_read"`
-}
-
 func main() {
-	mode := flag.String("mode", "write", "workload: write or read")
-	ops := flag.Int("ops", 200_000, "operations to run (measured phase)")
-	goroutines := flag.Int("goroutines", 4, "concurrent workers")
+	mode := flag.String("mode", "policy", "workload: policy (the layout sweep)")
 	seed := flag.Int64("seed", 1, "key-stream seed")
-	shards := flag.Int("shards", 1, "Options.Shards for the engine under test (power of two)")
-	sweep := flag.String("sweep", "", "comma-separated shard counts; runs once per count and emits a JSON array (overrides -shards)")
-	tierRuns := flag.Int("tier-runs", 4, "run budget T for tiered layouts (-mode policy)")
-	scale := flag.Float64("scale", 0.02, "experiment-harness scale for -mode policy")
-	out := flag.String("out", "", "output path (default BENCH_<mode>.json)")
+	tierRuns := flag.Int("tier-runs", 4, "run budget T for tiered layouts")
+	scale := flag.Float64("scale", 0.02, "experiment-harness scale")
+	out := flag.String("out", "BENCH_policy.json", "output path")
 	flag.Parse()
 
-	if *mode == "policy" {
-		if err := runPolicy(*scale, *seed, *tierRuns, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
+	if *mode != "policy" {
+		fmt.Fprintf(os.Stderr, "benchjson: unknown mode %q (want policy; point-op throughput is perfbench/run.sh)\n", *mode)
+		os.Exit(2)
 	}
-
-	counts := []int{*shards}
-	if *sweep != "" {
-		counts = counts[:0]
-		for _, f := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: bad -sweep entry %q: %v\n", f, err)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-	}
-
-	results := make([]*result, 0, len(counts))
-	for _, n := range counts {
-		res, err := run(*mode, *ops, *goroutines, *seed, n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchjson: %s shards=%d: %d ops, %.0f ops/s, p50 %s p99 %s, %d blocks written\n",
-			res.Mode, res.Shards, res.Ops, res.OpsPerSec,
-			time.Duration(res.P50NS), time.Duration(res.P99NS), res.BlocksWritten)
-		results = append(results, res)
-	}
-
-	path := *out
-	if path == "" {
-		path = "BENCH_" + *mode + ".json"
-	}
-	var doc any = results[0]
-	if *sweep != "" {
-		doc = results
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	if err := runPolicy(*scale, *seed, *tierRuns, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Println("benchjson: wrote", path)
 }
 
-// runPolicy emits BENCH_policy.json: the layout × workload sweep. The
-// harness drives synchronous single-writer trees over a counted memory
-// device, so the numbers are deterministic for a given seed and scale.
+// runPolicy emits the layout × workload sweep. The harness drives
+// synchronous single-writer trees over a counted memory device, so the
+// numbers are deterministic for a given seed and scale.
 func runPolicy(scale float64, seed int64, tierRuns int, out string) error {
 	p := experiments.Params{Scale: scale, Seed: seed}.WithDefaults()
 	rows, table, err := p.LayoutSweep(
@@ -136,9 +53,6 @@ func runPolicy(scale float64, seed int64, tierRuns int, out string) error {
 	}
 	if _, err := table.WriteTo(os.Stdout); err != nil {
 		return err
-	}
-	if out == "" {
-		out = "BENCH_policy.json"
 	}
 	buf, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
@@ -150,110 +64,4 @@ func runPolicy(scale float64, seed int64, tierRuns int, out string) error {
 	}
 	fmt.Println("benchjson: wrote", out)
 	return nil
-}
-
-func run(mode string, ops, goroutines int, seed int64, shards int) (*result, error) {
-	if goroutines < 1 || ops < goroutines {
-		return nil, fmt.Errorf("need goroutines >= 1 and ops >= goroutines (got %d, %d)", ops, goroutines)
-	}
-	db, err := lsmssd.Open(lsmssd.Options{
-		Shards:         shards,
-		CompactionMode: lsmssd.BackgroundCompaction,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := db.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: close:", cerr)
-		}
-	}()
-
-	const keySpace = 4_000_000
-	payload := make([]byte, 100)
-
-	// Read mode measures lookups against a preloaded tree; the load phase
-	// is not timed and its device traffic is subtracted below.
-	if mode == "read" {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < keySpace/4; i++ {
-			if err := db.Put(uint64(rng.Intn(keySpace)), payload); err != nil {
-				return nil, err
-			}
-		}
-	} else if mode != "write" {
-		return nil, fmt.Errorf("unknown mode %q (want write or read)", mode)
-	}
-	base := db.Stats()
-
-	lats := make([][]time.Duration, goroutines)
-	errs := make([]error, goroutines)
-	done := make(chan struct{})
-	start := time.Now()
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			n := ops / goroutines
-			if g < ops%goroutines {
-				n++
-			}
-			lat := make([]time.Duration, n)
-			rng := rand.New(rand.NewSource(seed + int64(g)*7919))
-			for i := 0; i < n; i++ {
-				k := uint64(rng.Intn(keySpace))
-				var opErr error
-				t0 := time.Now()
-				if mode == "write" {
-					opErr = db.Put(k, payload)
-				} else {
-					_, _, opErr = db.Get(k)
-				}
-				lat[i] = time.Since(t0)
-				if opErr != nil {
-					errs[g] = opErr
-					lats[g] = lat[:i]
-					return
-				}
-			}
-			lats[g] = lat
-		}(g)
-	}
-	for g := 0; g < goroutines; g++ {
-		<-done
-	}
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	// A run that measured fewer ops than requested without reporting an
-	// error would silently publish a bogus trajectory point; refuse it.
-	if len(all) != ops {
-		return nil, fmt.Errorf("%s run measured %d of %d requested ops with no error; refusing to emit a partial result", mode, len(all), ops)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) int64 {
-		i := int(p * float64(len(all)-1))
-		return int64(all[i])
-	}
-	cur := db.Stats()
-	return &result{
-		Mode:          mode,
-		Shards:        shards,
-		Ops:           len(all),
-		Goroutines:    goroutines,
-		ElapsedNS:     int64(elapsed),
-		OpsPerSec:     float64(len(all)) / elapsed.Seconds(),
-		P50NS:         pct(0.50),
-		P99NS:         pct(0.99),
-		MaxNS:         int64(all[len(all)-1]),
-		BlocksWritten: cur.BlocksWritten - base.BlocksWritten,
-		BlocksRead:    cur.BlocksRead - base.BlocksRead,
-	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/core"
 	"lsmssd/internal/histogram"
 	"lsmssd/internal/obs"
 	"lsmssd/internal/storage"
@@ -201,24 +202,24 @@ func (db *DB) Checkpoint() error {
 // configured triggers, and reports any merge error that shard's scheduler
 // parked since the previous write.
 func (db *DB) Put(key uint64, value []byte) error {
-	s := db.shardFor(key)
-	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpPut, s.id)
-	err := s.put(key, value, sp)
-	sp.Finish()
-	s.lat.Done(obs.OpPut, start)
-	return err
+	return db.write(db.shardFor(key), obs.OpPut, []core.BatchOp{{Key: block.Key(key), Payload: value}})
 }
 
 // Delete removes key. Deleting an absent key is a no-op that still costs a
 // logged tombstone, as in any LSM store.
 func (db *DB) Delete(key uint64) error {
-	s := db.shardFor(key)
+	return db.write(db.shardFor(key), obs.OpDelete, []core.BatchOp{{Key: block.Key(key), Delete: true}})
+}
+
+// write commits ops to shard s as one writer step, timed under op's
+// latency series and phase span. Every live mutation comes through here:
+// Put and Delete as one-op requests, Apply once per touched shard.
+func (db *DB) write(s *shard, op obs.Op, ops []core.BatchOp) error {
 	start := s.lat.Start()
-	sp := db.tracer.Start(obs.OpDelete, s.id)
-	err := s.delete(key, sp)
+	sp := db.tracer.Start(op, s.id)
+	err := s.write(ops, sp)
 	sp.Finish()
-	s.lat.Done(obs.OpDelete, start)
+	s.lat.Done(op, start)
 	return err
 }
 

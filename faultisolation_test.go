@@ -114,15 +114,27 @@ func TestFaultIsolationAcrossShards(t *testing.T) {
 		t.Fatalf("aggregate Health().State = %q, want read-only (worst shard)", hr.State)
 	}
 
-	// Writes to the faulted shard fail fast with the typed error.
+	// Every write entry point fails fast on the faulted shard with the
+	// typed error.
 	probe := uint64(isoOps + isoTarget) // isoOps is a multiple of isoShards
-	err = db.Put(probe, []byte("probe"))
-	if !errors.Is(err, lsmssd.ErrShardReadOnly) {
-		t.Fatalf("Put on read-only shard: %v, want ErrShardReadOnly", err)
-	}
-	var sre *lsmssd.ShardReadOnlyError
-	if !errors.As(err, &sre) || sre.Shard != isoTarget || sre.Cause != "enospc" {
-		t.Fatalf("ShardReadOnlyError = %+v, want shard %d cause enospc", sre, isoTarget)
+	batch := db.NewBatch()
+	batch.Put(probe, []byte("probe"))
+	batch.Delete(probe + isoShards)
+	for _, w := range []struct {
+		name string
+		err  error
+	}{
+		{"Put", db.Put(probe, []byte("probe"))},
+		{"Delete", db.Delete(probe)},
+		{"Apply", db.Apply(batch)},
+	} {
+		if !errors.Is(w.err, lsmssd.ErrShardReadOnly) {
+			t.Fatalf("%s on read-only shard: %v, want ErrShardReadOnly", w.name, w.err)
+		}
+		var sre *lsmssd.ShardReadOnlyError
+		if !errors.As(w.err, &sre) || sre.Shard != isoTarget || sre.Cause != "enospc" {
+			t.Fatalf("%s: ShardReadOnlyError = %+v, want shard %d cause enospc", w.name, sre, isoTarget)
+		}
 	}
 
 	// Sibling shards keep accepting writes...

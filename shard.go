@@ -304,8 +304,14 @@ func (s *shard) openWAL() error {
 	}
 
 	start := time.Now()
+	// Each recovered frame goes through the normal write path, so recovery
+	// exercises exactly the machinery of live traffic.
 	info, err := wal.Replay(base, s.lastSeq, func(seq uint64, ops []wal.Op) error {
-		return s.applyReplayed(ops)
+		batch := make([]core.BatchOp, len(ops))
+		for i, op := range ops {
+			batch[i] = core.BatchOp{Key: block.Key(op.Key), Payload: op.Value, Delete: op.Delete}
+		}
+		return s.write(batch, nil)
 	})
 	if err != nil {
 		return fmt.Errorf("lsmssd: write-ahead log replay: %w", err)
@@ -350,29 +356,6 @@ func (s *shard) openWAL() error {
 		})
 	}
 	return nil
-}
-
-// applyReplayed pushes one recovered WAL frame through the normal write
-// path — admission, the writer lock, a batched apply, and the cascade
-// notification — so recovery exercises exactly the machinery of live
-// traffic.
-func (s *shard) applyReplayed(ops []wal.Op) error {
-	batch := make([]core.BatchOp, len(ops))
-	for i, op := range ops {
-		batch[i] = core.BatchOp{Key: block.Key(op.Key), Payload: op.Value, Delete: op.Delete}
-	}
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if err := s.tree.ApplyBatch(batch); err != nil {
-		return err
-	}
-	if err := s.sched.Notify(); err != nil {
-		return err
-	}
-	return s.paranoidSteadyCheck()
 }
 
 // checkpointLocked persists the shard's current state under its writer
@@ -454,15 +437,22 @@ func (s *shard) checkpoint() error {
 // the tree. When the append sealed a segment the caller checkpoints
 // after applying the ops (after, because the checkpoint's WALSeq covers
 // this frame — the manifest state must include it). Caller holds
-// writerMu.
+// writerMu and has checked that the log is open and ops non-empty.
 //
 // Span attribution: the whole append is timed as PhaseWALAppend, then
 // the log's cumulative fsync-nanoseconds delta across the call is
 // shifted to PhaseWALSync — writerMu serializes this shard's appends,
 // so the delta is exactly this frame's group-commit fsync wait.
-func (s *shard) logMutation(ops []wal.Op, sp *obs.Span) (rotated bool, err error) {
-	if s.wal == nil {
-		return false, nil
+func (s *shard) logMutation(ops []core.BatchOp, sp *obs.Span) (rotated bool, err error) {
+	// Small requests — every Put and Delete — convert into a stack array,
+	// so the frame adds no heap allocation to the point-write path.
+	var small [8]wal.Op
+	wops := small[:0]
+	if len(ops) > len(small) {
+		wops = make([]wal.Op, 0, len(ops))
+	}
+	for _, op := range ops {
+		wops = append(wops, wal.Op{Key: uint64(op.Key), Value: op.Payload, Delete: op.Delete})
 	}
 	var syncBefore int64
 	if sp != nil {
@@ -470,7 +460,7 @@ func (s *shard) logMutation(ops []wal.Op, sp *obs.Span) (rotated bool, err error
 		sp.To(obs.PhaseWALAppend)
 	}
 	start := s.lat.Start()
-	seq, rotated, err := s.wal.Append(ops)
+	seq, rotated, err := s.wal.Append(wops)
 	s.lat.Done(obs.OpWALAppend, start)
 	if sp != nil {
 		sp.To(obs.PhaseOther)
@@ -496,122 +486,30 @@ func (s *shard) logMutation(ops []wal.Op, sp *obs.Span) (rotated bool, err error
 	return rotated, nil
 }
 
-// put is Put for the keys this shard owns. The span (nil when tracing is
-// off) attributes the op's time: admission under PhaseStallWait (the
-// pacing sleep and stall gate live inside Admit), the WAL frame under
-// PhaseWALAppend/WALSync (logMutation), the memtable insert under
-// PhaseMemtable, and the cascade notification under PhaseCascade — in
-// sync compaction mode the whole inline merge cascade runs inside
-// Notify, which is exactly the write-amplification time the phase names.
-func (s *shard) put(key uint64, value []byte, sp *obs.Span) error {
+// write is the shard's one mutation path: Put, Delete, a WriteBatch's
+// slice for this shard, and WAL replay all commit here as a single atomic
+// writer step — one admission, one writer-lock acquisition, one WAL frame
+// (group commit), one batched apply, one cascade notification — in the
+// durability protocol's fixed order: log → apply → checkpoint on
+// rotation. Replay runs before s.wal is set, so it logs nothing. A failure
+// past the read-only gate is classified for the shard's health.
+//
+// The span (nil when tracing is off) attributes the op's time: admission
+// under PhaseStallWait (the pacing sleep and stall gate live inside
+// Admit), the WAL frame under PhaseWALAppend/WALSync (logMutation), the
+// memtable apply under PhaseMemtable, and the cascade notification under
+// PhaseCascade — in sync compaction mode the whole inline merge cascade
+// runs inside Notify, which is exactly the write-amplification time the
+// phase names.
+func (s *shard) write(ops []core.BatchOp, sp *obs.Span) (err error) {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	err := s.doPut(key, value, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doPut(key uint64, value []byte, sp *obs.Span) error {
-	sp.To(obs.PhaseStallWait)
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	sp.To(obs.PhaseOther)
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	rotated, err := s.logMutation([]wal.Op{{Key: key, Value: value}}, sp)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseMemtable)
-	err = s.tree.Put(block.Key(key), value)
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseCascade)
-	err = s.sched.Notify()
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	if rotated {
-		if err := s.checkpointLocked(); err != nil {
-			return err
+	defer func() {
+		if err != nil {
+			s.noteWriteError(err)
 		}
-	}
-	return s.paranoidSteadyCheck()
-}
-
-// delete is Delete for the keys this shard owns; phase attribution as in
-// put.
-func (s *shard) delete(key uint64, sp *obs.Span) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	err := s.doDelete(key, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doDelete(key uint64, sp *obs.Span) error {
-	sp.To(obs.PhaseStallWait)
-	if err := s.sched.Admit(); err != nil {
-		return err
-	}
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	sp.To(obs.PhaseOther)
-	if s.db.closed.Load() {
-		return ErrClosed
-	}
-	rotated, err := s.logMutation([]wal.Op{{Key: key, Delete: true}}, sp)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseMemtable)
-	err = s.tree.Delete(block.Key(key))
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	sp.To(obs.PhaseCascade)
-	err = s.sched.Notify()
-	sp.To(obs.PhaseOther)
-	if err != nil {
-		return err
-	}
-	if rotated {
-		if err := s.checkpointLocked(); err != nil {
-			return err
-		}
-	}
-	return s.paranoidSteadyCheck()
-}
-
-// applyOps executes one shard's slice of a WriteBatch as a single atomic
-// writer step: one admission, one writer-lock acquisition, one WAL frame
-// (group commit), one batched apply. Phase attribution as in put.
-func (s *shard) applyOps(ops []core.BatchOp, sp *obs.Span) error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	err := s.doApplyOps(ops, sp)
-	if err != nil {
-		s.noteWriteError(err)
-	}
-	return err
-}
-
-func (s *shard) doApplyOps(ops []core.BatchOp, sp *obs.Span) error {
+	}()
 	sp.To(obs.PhaseStallWait)
 	if err := s.sched.Admit(); err != nil {
 		return err
@@ -624,18 +522,13 @@ func (s *shard) doApplyOps(ops []core.BatchOp, sp *obs.Span) error {
 	}
 	var rotated bool
 	if s.wal != nil && len(ops) > 0 {
-		wops := make([]wal.Op, len(ops))
-		for i, op := range ops {
-			wops[i] = wal.Op{Key: uint64(op.Key), Value: op.Payload, Delete: op.Delete}
-		}
-		var err error
-		rotated, err = s.logMutation(wops, sp)
+		rotated, err = s.logMutation(ops, sp)
 		if err != nil {
 			return err
 		}
 	}
 	sp.To(obs.PhaseMemtable)
-	err := s.tree.ApplyBatch(ops)
+	err = s.tree.ApplyBatch(ops)
 	sp.To(obs.PhaseOther)
 	if err != nil {
 		return err

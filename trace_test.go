@@ -147,7 +147,8 @@ func TestSampledSpansOnBus(t *testing.T) {
 // TestTracingDisabledAddsNoAllocs pins the disabled-path acceptance
 // criterion end to end: on a default DB (no Metrics, no tracing), Get of
 // a memtable-resident key allocates nothing — the span plumbing adds no
-// allocation to the hot read path.
+// allocation to the hot read path — and point writes hold their pinned
+// allocation counts.
 func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -167,6 +168,43 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	}
 	if sp := db.tracer.Start(obs.OpGet, 0); sp != nil {
 		t.Error("default DB's tracer handed out a span")
+	}
+
+	// A one-op Put or Delete, WAL off and on, allocates no more than the
+	// publication of its new snapshot: converting the op into its WAL
+	// frame adds no heap allocation. Overwriting one key keeps the
+	// memtable shape fixed, so every run does the same work.
+	const wantPut, wantDelete = 5, 4
+	for _, withWAL := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
+			opts := Options{}
+			if withWAL {
+				opts.Path = filepath.Join(t.TempDir(), "db")
+				opts.WAL = WALOptions{Enabled: true, Sync: SyncNever}
+			}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			value := []byte("answer")
+			put := testing.AllocsPerRun(1000, func() {
+				if err := db.Put(42, value); err != nil {
+					t.Fatal(err)
+				}
+			})
+			del := testing.AllocsPerRun(1000, func() {
+				if err := db.Delete(42); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if put > wantPut {
+				t.Errorf("Put allocates %.1f per op, want <= %d", put, wantPut)
+			}
+			if del > wantDelete {
+				t.Errorf("Delete allocates %.1f per op, want <= %d", del, wantDelete)
+			}
+		})
 	}
 }
 
