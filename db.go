@@ -39,7 +39,8 @@ var ErrCorrupt = storage.ErrCorrupt
 // are serialized by a per-shard writer lock — writes to different shards
 // proceed in parallel — while reads (Get, Scan, NewIterator, Stats,
 // Histogram, Validate) run lock-free against immutable per-shard
-// snapshots published after every mutation and every merge. Readers
+// snapshots: every merge publishes one, and a read after a mutation
+// builds one that includes it. Readers
 // therefore never wait for a merge cascade, and an in-progress Scan or
 // Iterator observes a frozen, consistent state no matter how many merges
 // complete meanwhile.

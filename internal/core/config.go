@@ -36,8 +36,10 @@ type Config struct {
 	// BloomBitsPerKey, when positive, maintains per-block Bloom filters
 	// to cut lookup reads for absent keys.
 	BloomBitsPerKey float64
-	// Seed drives the memtable's skiplist randomness; runs with equal
-	// configs and workloads are bit-for-bit reproducible.
+	// Seed is the configuration's random seed, recorded in the shard
+	// manifest. The engine itself draws no randomness from it (the
+	// memtable is deterministic), so runs with equal configs and
+	// workloads are bit-for-bit reproducible.
 	Seed int64
 	// Shard is the index of the shard this tree serves in a sharded DB
 	// (0 for a single-tree engine). Purely descriptive: it is stamped on

@@ -11,9 +11,7 @@ import (
 // serialize. The error return is reserved for future L0 failure modes;
 // today Put always succeeds.
 func (t *Tree) Put(k block.Key, payload []byte) error {
-	t.applyOne(BatchOp{Key: k, Payload: payload})
-	t.publish()
-	return nil
+	return t.ApplyBatch([]BatchOp{{Key: k, Payload: payload}})
 }
 
 // Delete removes k. If k lives in L0 the request executes there (the
@@ -21,9 +19,7 @@ func (t *Tree) Put(k block.Key, payload []byte) error {
 // tombstone record that cancels matching records during merges. Like
 // Put, Delete leaves the overflow cascade to the caller.
 func (t *Tree) Delete(k block.Key) error {
-	t.applyOne(BatchOp{Key: k, Delete: true})
-	t.publish()
-	return nil
+	return t.ApplyBatch([]BatchOp{{Key: k, Delete: true}})
 }
 
 // BatchOp is one modification inside an ApplyBatch call: an upsert of
@@ -34,20 +30,25 @@ type BatchOp struct {
 	Delete  bool
 }
 
-// ApplyBatch applies ops in order as a single writer step: a single new
-// snapshot is published covering the whole batch — so no reader observes
-// a prefix of the batch, and the per-request overhead (snapshot capture,
-// and the caller's one overflow check) is paid once rather than len(ops)
-// times.
+// ApplyBatch applies ops in order as a single writer step. The ops land
+// in L0 under viewMu and leave the current view stale rather than
+// publishing a new one: the next AcquireView captures L0 with the whole
+// batch in it, so no reader observes a prefix of the batch, and writes
+// that no reader follows build no view at all.
 //
 // Request statistics count each op individually, keeping a batched
 // workload's Stats comparable to the same workload issued record by
 // record.
 func (t *Tree) ApplyBatch(ops []BatchOp) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	t.viewMu.Lock()
 	for _, op := range ops {
 		t.applyOne(op)
 	}
-	t.publish()
+	t.stale = true
+	t.viewMu.Unlock()
 	return nil
 }
 

@@ -126,13 +126,13 @@ func (t *Tree) drainSlot(i int) error {
 func (t *Tree) flushMemToRun() error {
 	tr := t.beginMergeTrace()
 	xBlocks := len(t.SourceMetas(0)) // L0's virtual blocks, for the event
-	recs := t.mem.TakeRange(0, ^block.Key(0))
+	recs := t.takeL0(0, ^block.Key(0))
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty flush from L0")
 	}
 	s := t.slots[0]
 	if t.bottom(1) && s.records() == 0 {
-		live := recs[:0]
+		live := make([]block.Record, 0, len(recs)) // views may read recs until publish
 		for _, r := range recs {
 			if !r.Tombstone {
 				live = append(live, r)

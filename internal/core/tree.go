@@ -55,17 +55,20 @@ type Tree struct {
 	lastCacheMisses int64
 
 	// Memoized L0 virtual-block metadata: policies consult it several
-	// times per merge decision and rebuilding it walks the whole
-	// memtable.
+	// times per merge decision; it is rebuilt when the memtable's version
+	// moves.
 	memMetas    []btree.BlockMeta
 	memMetasVer uint64
 
-	// Snapshot state (view.go). viewMu guards only the pointer swap and
-	// reference counts — a few instructions per acquire/release — never
-	// any I/O, so readers cannot stall behind a merge.
+	// Snapshot state (view.go). viewMu guards the pointer swap, the
+	// reference counts, and every change to L0: batches apply and merges
+	// drain under it, and readers capture L0 under it. It never covers
+	// I/O, so readers cannot stall behind a merge.
 	viewMu     sync.Mutex
 	cur        *View
-	liveViews  []*View // acquired views, ascending seq
+	stale      bool           // L0 changed since cur captured it
+	taken      []block.Record // drained from L0 by the merge in progress
+	liveViews  []*View        // acquired views, ascending seq
 	seq        uint64
 	pending    []storage.BlockID // frees deferred during the current mutation
 	zombies    []zombieBatch
@@ -380,7 +383,7 @@ func (t *Tree) mergeFromMem() error {
 		if tr.traced {
 			tr.xFrom, tr.xTo = 0, len(t.SourceMetas(0))
 		}
-		recs = t.mem.TakeRange(0, ^block.Key(0))
+		recs = t.takeL0(0, ^block.Key(0))
 	} else {
 		metas := t.SourceMetas(0)
 		if d.From < 0 || d.To > len(metas) || d.From >= d.To {
@@ -391,7 +394,7 @@ func (t *Tree) mergeFromMem() error {
 			full = true
 		}
 		tr.xFrom, tr.xTo = d.From, d.To
-		recs = t.mem.TakeRange(metas[d.From].Min, metas[d.To-1].Max)
+		recs = t.takeL0(metas[d.From].Min, metas[d.To-1].Max)
 	}
 	if len(recs) == 0 {
 		return fmt.Errorf("core: empty merge window from L0")

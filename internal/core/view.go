@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
@@ -16,11 +18,12 @@ import (
 // marked closed.
 var ErrClosed = errors.New("core: tree is closed")
 
-// View is an immutable snapshot of the tree's user-visible contents: the
-// memtable (a persistent-treap root) plus every storage level's frozen
-// block-metadata slice. Levels change only through merges, which install
-// freshly allocated metadata slices and never update data blocks in place,
-// so a View stays internally consistent for as long as it is held — reads
+// View is an immutable snapshot of the tree's user-visible contents: a
+// memtable snapshot, the records an in-progress L0 merge has drained but
+// not yet published, and every storage level's frozen block-metadata
+// slice. Levels change only through merges, which install freshly
+// allocated metadata slices and never update data blocks in place, so a
+// View stays internally consistent for as long as it is held — reads
 // against it need no lock, no matter how many merges run meanwhile.
 //
 // Views are reference-counted. Blocks a merge removes from the tree are
@@ -30,8 +33,10 @@ var ErrClosed = errors.New("core: tree is closed")
 type View struct {
 	tree   *Tree
 	seq    uint64
-	refs   int // guarded by tree.viewMu
-	mem    *memtable.Snapshot
+	refs   int  // guarded by tree.viewMu
+	built  bool // L0 captured, by the first AcquireView; guarded by tree.viewMu
+	mem    memtable.Snapshot
+	taken  []block.Record // drained by an unpublished L0 merge; sorted
 	levels []LevelView
 }
 
@@ -71,16 +76,28 @@ type zombieBatch struct {
 
 // AcquireView returns the current snapshot with its reference count
 // raised, or an error if the tree is closed. The only lock involved is a
-// few-instruction bookkeeping mutex — readers never wait on the writer's
-// merge work. Callers must Release the view when done.
+// bookkeeping mutex that never covers I/O — readers never wait on the
+// writer's merge work. L0 is captured here, on first read, not by the
+// writer: an unbuilt view gets the current L0 snapshot, and a built one
+// that writes made stale is replaced by a new view over the same level
+// images, which only publish changes. Callers must Release the view when
+// done.
 func (t *Tree) AcquireView() (*View, error) {
 	t.viewMu.Lock()
 	defer t.viewMu.Unlock()
 	if t.closed || t.cur == nil {
 		return nil, ErrClosed
 	}
-	t.cur.refs++
-	return t.cur, nil
+	v := t.cur
+	if v.built && t.stale {
+		v = t.installLocked(v.levels)
+	}
+	if !v.built {
+		v.mem, v.taken, v.built = t.mem.Snapshot(), t.taken, true
+		t.stale = false
+	}
+	v.refs++
+	return v, nil
 }
 
 // Release drops the caller's reference. When the last reference to a
@@ -97,13 +114,15 @@ func (v *View) Release() {
 	t.viewMu.Unlock()
 }
 
-// publish captures the tree's current state as a new View and installs it
-// as the snapshot subsequent readers acquire. The writer calls it after
-// every structural change (request, merge, growth, restore), so a reader
-// always sees a state the invariant auditor has accepted.
+// publish captures the levels' current state in a new View and installs
+// it as the snapshot subsequent readers acquire. The writer calls it after
+// every structural change to the levels (merge, growth, restore, repair,
+// stats reset), so a reader always sees a state the invariant auditor has
+// accepted. Frees the change deferred are tagged with the retiring view,
+// and records a finished L0 merge drained are now in the levels. Writes
+// that only land in L0 do not publish; they mark the view stale.
 func (t *Tree) publish() {
-	nv := &View{tree: t, mem: t.mem.Snapshot(), refs: 1}
-	nv.levels = make([]LevelView, len(t.slots))
+	levels := make([]LevelView, len(t.slots))
 	for i, s := range t.slots {
 		runs := make([][]btree.BlockMeta, len(s.runs))
 		blocks := 0
@@ -116,7 +135,7 @@ func (t *Tree) publish() {
 		if blocks > 0 {
 			wf = float64(blocks*t.cfg.BlockCapacity-records) / float64(blocks*t.cfg.BlockCapacity)
 		}
-		nv.levels[i] = LevelView{
+		levels[i] = LevelView{
 			Number:        i + 1,
 			Runs:          runs,
 			Records:       records,
@@ -127,14 +146,34 @@ func (t *Tree) publish() {
 		}
 	}
 	t.viewMu.Lock()
-	t.seq++
-	nv.seq = t.seq
-	old := t.cur
-	if len(t.pending) > 0 && old != nil {
-		t.zombies = append(t.zombies, zombieBatch{seq: old.seq, ids: t.pending})
+	if len(t.pending) > 0 && t.cur != nil {
+		t.zombies = append(t.zombies, zombieBatch{seq: t.cur.seq, ids: t.pending})
 		t.zombieN += int64(len(t.pending))
 		t.pending = nil
 	}
+	t.taken = nil
+	t.installLocked(levels)
+	t.viewMu.Unlock()
+}
+
+// takeL0 drains the records with key in [lo, hi] from L0 for a merge into
+// L1. Until the merge publishes, views built meanwhile serve the drained
+// records from their taken run, since their levels do not hold them yet;
+// the merge must not modify the returned slice.
+func (t *Tree) takeL0(lo, hi block.Key) []block.Record {
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	t.taken = t.mem.TakeRange(lo, hi)
+	return t.taken
+}
+
+// installLocked makes a view over levels the current snapshot and drops
+// the tree's reference to the view it replaces. The new view captures L0
+// when a reader first acquires it. Callers hold viewMu.
+func (t *Tree) installLocked(levels []LevelView) *View {
+	t.seq++
+	nv := &View{tree: t, seq: t.seq, refs: 1, levels: levels}
+	old := t.cur
 	t.cur = nv
 	t.liveViews = append(t.liveViews, nv)
 	if old != nil {
@@ -144,7 +183,7 @@ func (t *Tree) publish() {
 		}
 	}
 	t.reclaimLocked()
-	t.viewMu.Unlock()
+	return nv
 }
 
 // removeLiveLocked drops v from the acquired-view list. Callers hold viewMu.
@@ -256,11 +295,19 @@ func (v *View) Seq() uint64 { return v.seq }
 // Height returns the number of levels including L0 at capture time.
 func (v *View) Height() int { return len(v.levels) + 1 }
 
-// MemLen returns the number of memtable records at capture time.
-func (v *View) MemLen() int { return v.mem.Len() }
+// MemLen returns the number of memtable records at capture time, counting
+// those an unpublished merge had drained.
+func (v *View) MemLen() int { return v.mem.Len() + len(v.taken) }
 
-// MemBytes returns the memtable's request-byte footprint at capture time.
-func (v *View) MemBytes() int { return v.mem.Bytes() }
+// MemBytes returns the request-byte footprint of the records MemLen
+// counts.
+func (v *View) MemBytes() int {
+	n := v.mem.Bytes()
+	for _, r := range v.taken {
+		n += r.Size()
+	}
+	return n
+}
 
 // Levels returns the frozen per-level metadata. Treat as read-only.
 func (v *View) Levels() []LevelView { return v.levels }
@@ -268,7 +315,7 @@ func (v *View) Levels() []LevelView { return v.levels }
 // Records returns the records stored at capture time, including shadowed
 // versions and tombstones.
 func (v *View) Records() int {
-	n := v.mem.Len()
+	n := v.MemLen()
 	for i := range v.levels {
 		n += v.levels[i].Records
 	}
@@ -298,7 +345,15 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 	t := v.tree
 	t.cnt.lookups.Add(1)
 	sp.To(obs.PhaseMemtable)
-	if r, ok := v.mem.Get(k); ok {
+	r, ok := v.mem.Get(k)
+	if !ok {
+		var i int
+		i, ok = slices.BinarySearchFunc(v.taken, k, cmpKey)
+		if ok {
+			r = v.taken[i]
+		}
+	}
+	if ok {
 		sp.To(obs.PhaseOther)
 		if r.Tombstone {
 			return nil, false, nil
@@ -347,6 +402,9 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// cmpKey orders a record against a key, for searches in sorted records.
+func cmpKey(r block.Record, k block.Key) int { return cmp.Compare(r.Key, k) }
+
 // findBlock locates the block whose key range contains k.
 func findBlock(metas []btree.BlockMeta, k block.Key) (btree.BlockMeta, bool) {
 	i, ok := btree.FindIn(metas, k)
@@ -377,8 +435,9 @@ func (v *View) Iter(lo, hi block.Key) *Iter {
 	// One stream per sorted run (plus L0); each is a key-ordered record
 	// sequence. At every step the smallest key wins, the uppermost
 	// stream's record is authoritative, and all streams advance past it.
-	// Stream order — L0, then each level's runs newest first — is exactly
-	// the shadowing precedence.
+	// Stream order — L0, the records an unpublished L0 merge drained, then
+	// each level's runs newest first — is exactly the shadowing
+	// precedence.
 	streams := make([]*iterStream, 0, len(v.levels)+1)
 	var memRecs []block.Record
 	v.mem.Ascend(lo, hi, func(r block.Record) bool {
@@ -386,6 +445,14 @@ func (v *View) Iter(lo, hi block.Key) *Iter {
 		return true
 	})
 	streams = append(streams, &iterStream{recs: memRecs})
+	if len(v.taken) > 0 {
+		from, _ := slices.BinarySearchFunc(v.taken, lo, cmpKey)
+		to, found := slices.BinarySearchFunc(v.taken, hi, cmpKey)
+		if found {
+			to++
+		}
+		streams = append(streams, &iterStream{recs: v.taken[from:to]})
+	}
 	for i := range v.levels {
 		for _, metas := range v.levels[i].Runs {
 			start, end := btree.OverlapIn(metas, lo, hi)

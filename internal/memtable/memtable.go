@@ -1,263 +1,347 @@
 // Package memtable implements L0, the memory-resident top level of the
-// LSM-tree, as a persistent (copy-on-write) treap.
+// LSM-tree, as a sorted sequence of record chunks ("leaves").
 //
 // L0 "logs" modifications: an insert stores an index record; a delete or
 // update for a key not present in L0 stores a tombstone/update record that
 // will cancel out matching records in lower levels during merges
 // (Section II-A). Because partial merge policies operate on block windows,
-// the memtable can present its contents as a sequence of *virtual blocks*
-// of B records each, with the same metadata (min key, max key, count) that
+// the memtable presents its contents as a sequence of *virtual blocks* of
+// B records each, with the same metadata (min key, max key, count) that
 // on-storage levels expose.
 //
-// The treap is persistent: every mutation path-copies the O(log n) nodes
-// between the root and the touched key, leaving all previously captured
-// roots intact. Snapshot therefore costs O(1) and returns an immutable
-// view that can be read without synchronization while the table keeps
-// changing — the property the engine's snapshot-isolated read path is
-// built on. A Table itself is single-writer (the tree serializes
-// mutations); Snapshots are safe for any number of concurrent readers.
+// Layout: a spine holds one fence key (the leaf's smallest key) per leaf
+// and the leaves themselves, each a sorted slice of at most maxLeaf
+// records. A point operation binary-searches the fences, then the leaf;
+// ranges, virtual blocks and draining are scans over contiguous arrays.
+//
+// Snapshots use owner-epoch copy-on-write. The table has an epoch, and
+// every leaf, like the spine, records the epoch that owns it. A mutation
+// changes memory its current epoch owns in place and copies anything
+// older first. Snapshot captures the spine in O(1) and bumps the epoch,
+// so everything the snapshot can reach becomes older than the table and
+// is never written again: the snapshot can be read without
+// synchronization while the table keeps changing, which the engine's
+// snapshot-isolated read path is built on. Between snapshots, writes
+// allocate nothing beyond leaf splits. A Table itself is single-writer
+// (the tree serializes mutations); Snapshots are safe for any number of
+// concurrent readers.
 package memtable
 
 import (
-	"math/rand"
+	"slices"
+	"sort"
 
 	"lsmssd/internal/block"
 )
 
-// node is one immutable treap node. Nodes are never modified once linked
-// into a published root; mutations clone the search path.
-type node struct {
-	rec   block.Record
-	prio  uint64
-	size  int // subtree record count (including this node)
-	left  *node
-	right *node
+// maxLeaf bounds a leaf's record count: a full leaf splits in halves on
+// insert. Small enough that copying a shared leaf stays cheap, large
+// enough that the spine stays short.
+const maxLeaf = 64
+
+// leaf is one sorted chunk of records. recs always has capacity maxLeaf.
+type leaf struct {
+	epoch uint64 // table epoch that owns recs; older leaves are shared
+	recs  []block.Record
 }
 
-func size(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return n.size
+func newLeaf(epoch uint64, recs []block.Record) *leaf {
+	lf := &leaf{epoch: epoch, recs: make([]block.Record, len(recs), maxLeaf)}
+	copy(lf.recs, recs)
+	return lf
 }
 
-// clone returns a private copy of n for path-copying mutations.
-func clone(n *node) *node {
-	c := *n
-	return &c
+// search returns the index of the first record with key >= k and whether
+// that record's key is k.
+func (lf *leaf) search(k block.Key) (int, bool) {
+	recs := lf.recs
+	j := sort.Search(len(recs), func(i int) bool { return recs[i].Key >= k })
+	return j, j < len(recs) && recs[j].Key == k
 }
 
-// update recomputes n's subtree size and returns n.
-func (n *node) update() *node {
-	n.size = size(n.left) + 1 + size(n.right)
-	return n
+// spine is the immutable-once-shared part of a table that a Snapshot
+// captures: fences[i] is leaves[i]'s smallest key, and no leaf is empty.
+type spine struct {
+	fences []block.Key
+	leaves []*leaf
+	n      int // records, including tombstones
+	bytes  int // request-byte footprint of the records
 }
 
-// split partitions n into keys < k, the node with key == k (if any), and
-// keys > k. The path to k is copied; mid is returned as-is and its child
-// pointers must be ignored by the caller.
-func split(n *node, k block.Key) (l, mid, r *node) {
-	if n == nil {
-		return nil, nil, nil
-	}
-	switch {
-	case n.rec.Key < k:
-		c := clone(n)
-		l2, mid, r := split(n.right, k)
-		c.right = l2
-		return c.update(), mid, r
-	case n.rec.Key > k:
-		c := clone(n)
-		l, mid, r2 := split(n.left, k)
-		c.left = r2
-		return l, mid, c.update()
-	default:
-		return n.left, n, n.right
-	}
+// leafAt returns the index of the leaf whose key range would hold k: the
+// last leaf whose fence is <= k, or -1 when k sorts before every leaf.
+func (s *spine) leafAt(k block.Key) int {
+	f := s.fences
+	return sort.Search(len(f), func(i int) bool { return f[i] > k }) - 1
 }
 
-// splitLE partitions n into keys <= k and keys > k, path-copying.
-func splitLE(n *node, k block.Key) (l, r *node) {
-	if n == nil {
-		return nil, nil
+func (s *spine) get(k block.Key) (block.Record, bool) {
+	i := s.leafAt(k)
+	if i < 0 {
+		return block.Record{}, false
 	}
-	if n.rec.Key <= k {
-		c := clone(n)
-		l2, r2 := splitLE(n.right, k)
-		c.right = l2
-		return c.update(), r2
-	}
-	c := clone(n)
-	l2, r2 := splitLE(n.left, k)
-	c.left = r2
-	return l2, c.update()
-}
-
-// join concatenates two treaps whose key ranges satisfy l < r, preserving
-// the heap order on priorities. Both inputs are left intact.
-func join(l, r *node) *node {
-	if l == nil {
-		return r
-	}
-	if r == nil {
-		return l
-	}
-	if l.prio >= r.prio {
-		c := clone(l)
-		c.right = join(l.right, r)
-		return c.update()
-	}
-	c := clone(r)
-	c.left = join(l, c.left)
-	return c.update()
-}
-
-// get returns the record for k in the subtree rooted at n.
-func get(n *node, k block.Key) (block.Record, bool) {
-	for n != nil {
-		switch {
-		case k < n.rec.Key:
-			n = n.left
-		case k > n.rec.Key:
-			n = n.right
-		default:
-			return n.rec, true
-		}
+	lf := s.leaves[i]
+	if j, ok := lf.search(k); ok {
+		return lf.recs[j], true
 	}
 	return block.Record{}, false
 }
 
-// ascend visits records with key in [lo, hi] in key order, returning false
-// if fn stopped the walk.
-func ascend(n *node, lo, hi block.Key, fn func(block.Record) bool) bool {
-	if n == nil {
-		return true
+func (s *spine) ascend(lo, hi block.Key, fn func(block.Record) bool) {
+	i := max(s.leafAt(lo), 0)
+	if i >= len(s.leaves) {
+		return
 	}
-	if n.rec.Key >= lo {
-		if !ascend(n.left, lo, hi, fn) {
-			return false
+	j, _ := s.leaves[i].search(lo)
+	for ; i < len(s.leaves); i, j = i+1, 0 {
+		for _, r := range s.leaves[i].recs[j:] {
+			if r.Key > hi || !fn(r) {
+				return
+			}
 		}
-		if n.rec.Key <= hi && !fn(n.rec) {
-			return false
-		}
 	}
-	if n.rec.Key <= hi {
-		return ascend(n.right, lo, hi, fn)
-	}
-	return true
 }
 
 // Table is the L0 index. Mutations are single-writer (the tree serializes
 // them); captured Snapshots remain readable concurrently.
 type Table struct {
-	root    *node
-	bytes   int
-	version uint64 // bumped by every mutation; lets callers memoize views
-	rng     *rand.Rand
+	spine
+	epoch      uint64 // bumped by Snapshot; memory owned by an older epoch is shared
+	spineEpoch uint64 // epoch owning the fences/leaves backing arrays
+	version    uint64 // bumped by every change; lets callers memoize views
 }
 
-// New returns an empty memtable. The seed makes treap priorities — and
-// therefore all downstream experiment traces — deterministic.
-func New(seed int64) *Table {
-	return &Table{rng: rand.New(rand.NewSource(seed))}
-}
+// New returns an empty memtable. The argument is unused: the layout
+// depends only on the operations applied.
+func New(int64) *Table { return &Table{} }
 
 // Len returns the number of records (including tombstones) in the table.
-func (t *Table) Len() int { return size(t.root) }
+func (t *Table) Len() int { return t.n }
 
-// Version returns a counter that changes with every mutation, so derived
-// views (e.g. virtual-block metadata) can be cached until the table
-// changes.
+// Version returns a counter that changes with every change to the
+// contents, so derived views (e.g. virtual-block metadata) can be cached
+// until the table changes. Calls that change nothing leave it alone.
 func (t *Table) Version() uint64 { return t.version }
 
 // Bytes returns the total request-byte footprint of the stored records.
 func (t *Table) Bytes() int { return t.bytes }
 
+// ownSpine makes the fences and leaves slices writable: if a snapshot may
+// share their backing arrays, they are copied first.
+func (t *Table) ownSpine() {
+	if t.spineEpoch == t.epoch {
+		return
+	}
+	t.fences = append(make([]block.Key, 0, len(t.fences)+2), t.fences...)
+	t.leaves = append(make([]*leaf, 0, len(t.leaves)+2), t.leaves...)
+	t.spineEpoch = t.epoch
+}
+
+// ownLeaf makes leaf i writable, copying it (and so the spine) when an
+// older epoch owns it.
+func (t *Table) ownLeaf(i int) *leaf {
+	lf := t.leaves[i]
+	if lf.epoch == t.epoch {
+		return lf
+	}
+	t.ownSpine()
+	lf = newLeaf(t.epoch, lf.recs)
+	t.leaves[i] = lf
+	return lf
+}
+
+// cut reduces leaf x to its records [a, b), which must be non-empty, and
+// returns it owned.
+func (t *Table) cut(x, a, b int) *leaf {
+	lf := t.ownLeaf(x)
+	n := len(lf.recs)
+	lf.recs = append(lf.recs[:0], lf.recs[a:b]...)
+	clear(lf.recs[b-a : n])
+	return lf
+}
+
 // Put inserts or overwrites the record for r.Key.
 func (t *Table) Put(r block.Record) {
 	t.version++
-	if old, ok := get(t.root, r.Key); ok {
-		t.bytes += r.Size() - old.Size()
-		t.root = replace(t.root, r)
+	if len(t.leaves) == 0 {
+		t.ownSpine()
+		t.fences = append(t.fences, r.Key)
+		t.leaves = append(t.leaves, newLeaf(t.epoch, []block.Record{r}))
+		t.n, t.bytes = 1, r.Size()
 		return
 	}
-	l, _, rt := split(t.root, r.Key)
-	n := &node{rec: r, prio: t.rng.Uint64(), size: 1}
-	t.root = join(join(l, n), rt)
+	i := max(t.leafAt(r.Key), 0)
+	j, found := t.leaves[i].search(r.Key)
+	if found {
+		lf := t.ownLeaf(i)
+		t.bytes += r.Size() - lf.recs[j].Size()
+		lf.recs[j] = r
+		return
+	}
+	if len(t.leaves[i].recs) == maxLeaf {
+		t.split(i)
+		if j > maxLeaf/2 {
+			i, j = i+1, j-maxLeaf/2
+		}
+	}
+	lf := t.ownLeaf(i)
+	lf.recs = append(lf.recs, block.Record{})
+	copy(lf.recs[j+1:], lf.recs[j:])
+	lf.recs[j] = r
+	if j == 0 {
+		t.ownSpine()
+		t.fences[i] = r.Key
+	}
+	t.n++
 	t.bytes += r.Size()
 }
 
-// replace path-copies down to the node holding r.Key (which must exist)
-// and swaps in the new record, keeping the tree shape.
-func replace(n *node, r block.Record) *node {
-	c := clone(n)
-	switch {
-	case r.Key < n.rec.Key:
-		c.left = replace(n.left, r)
-	case r.Key > n.rec.Key:
-		c.right = replace(n.right, r)
-	default:
-		c.rec = r
-	}
-	return c
+// split replaces the full leaf i with two half leaves.
+func (t *Table) split(i int) {
+	half := maxLeaf / 2
+	right := newLeaf(t.epoch, t.leaves[i].recs[half:])
+	t.cut(i, 0, half)
+	t.ownSpine()
+	t.fences = slices.Insert(t.fences, i+1, right.recs[0].Key)
+	t.leaves = slices.Insert(t.leaves, i+1, right)
 }
 
 // Get returns the record stored for k, if any. The caller must check
 // Tombstone to interpret the result.
-func (t *Table) Get(k block.Key) (block.Record, bool) {
-	return get(t.root, k)
-}
+func (t *Table) Get(k block.Key) (block.Record, bool) { return t.get(k) }
 
-// Delete removes the record for k, reporting whether it was present.
-// Note this is a physical removal used when draining merged ranges; a
-// logical delete request is a Put of a tombstone record.
-func (t *Table) Delete(k block.Key) bool {
-	t.version++
-	l, mid, r := split(t.root, k)
-	if mid == nil {
-		return false // split copied nothing the table keeps: root unchanged
-	}
-	t.bytes -= mid.rec.Size()
-	t.root = join(l, r)
-	return true
-}
+// Delete removes the record for k, reporting whether it was present. An
+// absent key leaves the table, its version included, untouched. Note
+// this is a physical removal used when draining merged ranges; a logical
+// delete request is a Put of a tombstone record.
+func (t *Table) Delete(k block.Key) bool { return len(t.TakeRange(k, k)) == 1 }
 
 // Ascend calls fn for each record with key in [lo, hi] in key order,
 // stopping early if fn returns false.
 func (t *Table) Ascend(lo, hi block.Key, fn func(block.Record) bool) {
-	ascend(t.root, lo, hi, fn)
+	t.ascend(lo, hi, fn)
 }
 
 // All returns every record in key order. It allocates; use Ascend for
 // streaming access.
 func (t *Table) All() []block.Record {
-	out := make([]block.Record, 0, t.Len())
-	ascend(t.root, 0, ^block.Key(0), func(r block.Record) bool {
-		out = append(out, r)
-		return true
-	})
+	out := make([]block.Record, 0, t.n)
+	for _, lf := range t.leaves {
+		out = append(out, lf.recs...)
+	}
 	return out
 }
 
 // TakeRange removes and returns all records with key in [lo, hi], in key
-// order. Merges from L0 call this to drain the merged window.
+// order. Merges from L0 call this to drain the merged window. An empty
+// range leaves the table, its version included, untouched.
 func (t *Table) TakeRange(lo, hi block.Key) []block.Record {
-	var out []block.Record
-	t.Ascend(lo, hi, func(r block.Record) bool {
-		out = append(out, r)
-		return true
-	})
-	if len(out) == 0 {
-		return out
+	if lo > hi || len(t.leaves) == 0 {
+		return nil
 	}
-	t.version++
-	left, _, rest := split(t.root, lo) // a node with key == lo is dropped here
-	_, right := splitLE(rest, hi)
-	t.root = join(left, right)
+	i := max(t.leafAt(lo), 0)
+	j, _ := t.leaves[i].search(lo)
+	if j == len(t.leaves[i].recs) {
+		i, j = i+1, 0
+	}
+	e := t.leafAt(hi)
+	if e < 0 || i > e {
+		return nil
+	}
+	f, found := t.leaves[e].search(hi)
+	if found {
+		f++
+	}
+	if i == e && j >= f {
+		return nil
+	}
+	n := f - j
+	for _, lf := range t.leaves[i:e] {
+		n += len(lf.recs)
+	}
+	out := make([]block.Record, 0, n)
+	if i == e {
+		out = append(out, t.leaves[i].recs[j:f]...)
+	} else {
+		out = append(out, t.leaves[i].recs[j:]...)
+		for _, lf := range t.leaves[i+1 : e] {
+			out = append(out, lf.recs...)
+		}
+		out = append(out, t.leaves[e].recs[:f]...)
+	}
 	for _, r := range out {
 		t.bytes -= r.Size()
 	}
+	t.n -= len(out)
+	t.remove(i, j, e, f)
 	return out
+}
+
+// remove deletes the records from leaves[i].recs[j] up to, not including,
+// leaves[e].recs[f] (i <= e; the range holds at least one record). What
+// survives of leaves i and e is rejoined into one leaf when it fits, and
+// a small survivor is folded into a neighbour, so draining windows does
+// not fragment the spine.
+func (t *Table) remove(i, j, e, f int) {
+	t.version++
+	var repl [2]*leaf
+	nr := 0
+	if i == e {
+		lf := t.ownLeaf(i)
+		n := len(lf.recs)
+		lf.recs = append(lf.recs[:j], lf.recs[f:]...)
+		clear(lf.recs[len(lf.recs):n])
+		if len(lf.recs) > 0 {
+			repl[0], nr = lf, 1
+		}
+	} else {
+		right := t.leaves[e].recs[f:]
+		if j > 0 {
+			repl[0], nr = t.cut(i, 0, j), 1
+			if j+len(right) <= maxLeaf {
+				repl[0].recs = append(repl[0].recs, right...)
+				right = nil
+			}
+		}
+		if len(right) > 0 {
+			repl[nr] = t.cut(e, f, f+len(right))
+			nr++
+		}
+	}
+	t.ownSpine()
+	for k, lf := range repl[:nr] {
+		t.leaves[i+k] = lf
+		t.fences[i+k] = lf.recs[0].Key
+	}
+	t.leaves = slices.Delete(t.leaves, i+nr, e+1)
+	t.fences = slices.Delete(t.fences, i+nr, e+1)
+	for x := max(i-1, 0); x <= i+nr; x++ {
+		if t.foldSmall(x) {
+			break
+		}
+	}
+}
+
+// foldSmall merges leaf x into a neighbour when it holds under a quarter
+// of maxLeaf records and the pair fits in three quarters, reporting
+// whether it did.
+func (t *Table) foldSmall(x int) bool {
+	if x >= len(t.leaves) || len(t.leaves[x].recs) >= maxLeaf/4 {
+		return false
+	}
+	for a := x - 1; a <= x; a++ {
+		b := a + 1
+		if a < 0 || b >= len(t.leaves) || len(t.leaves[a].recs)+len(t.leaves[b].recs) > maxLeaf*3/4 {
+			continue
+		}
+		lf := t.ownLeaf(a)
+		lf.recs = append(lf.recs, t.leaves[b].recs...)
+		t.ownSpine()
+		t.leaves = slices.Delete(t.leaves, b, b+1)
+		t.fences = slices.Delete(t.fences, b, b+1)
+		return true
+	}
+	return false
 }
 
 // VirtualMeta describes one virtual block of the memtable: a run of up to
@@ -270,25 +354,32 @@ type VirtualMeta struct {
 }
 
 // VirtualBlocks chunks the table into virtual blocks of the given capacity
-// and returns their metadata.
+// and returns their metadata. It touches each leaf once and reads only
+// the records on block boundaries.
 func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
 	if capacity < 1 {
 		panic("memtable: capacity must be >= 1")
 	}
-	var metas []VirtualMeta
+	if t.n == 0 {
+		return nil
+	}
+	metas := make([]VirtualMeta, 0, (t.n+capacity-1)/capacity)
 	var cur VirtualMeta
-	ascend(t.root, 0, ^block.Key(0), func(r block.Record) bool {
-		if cur.Count == 0 {
-			cur.Min = r.Key
+	for _, lf := range t.leaves {
+		for recs := lf.recs; len(recs) > 0; {
+			if cur.Count == 0 {
+				cur.Min = recs[0].Key
+			}
+			take := min(capacity-cur.Count, len(recs))
+			cur.Count += take
+			cur.Max = recs[take-1].Key
+			recs = recs[take:]
+			if cur.Count == capacity {
+				metas = append(metas, cur)
+				cur = VirtualMeta{}
+			}
 		}
-		cur.Max = r.Key
-		cur.Count++
-		if cur.Count == capacity {
-			metas = append(metas, cur)
-			cur = VirtualMeta{}
-		}
-		return true
-	})
+	}
 	if cur.Count > 0 {
 		metas = append(metas, cur)
 	}
@@ -298,28 +389,27 @@ func (t *Table) VirtualBlocks(capacity int) []VirtualMeta {
 // Snapshot is an immutable point-in-time view of the table, safe for
 // concurrent readers while the table keeps mutating.
 type Snapshot struct {
-	root  *node
-	bytes int
+	s spine
 }
 
-// Snapshot captures the current contents in O(1).
-func (t *Table) Snapshot() *Snapshot {
-	return &Snapshot{root: t.root, bytes: t.bytes}
+// Snapshot captures the current contents in O(1). It moves the table to
+// a new epoch, so the captured memory is copied before any later write.
+func (t *Table) Snapshot() Snapshot {
+	t.epoch++
+	return Snapshot{s: t.spine}
 }
 
 // Len returns the number of records (including tombstones) in the snapshot.
-func (s *Snapshot) Len() int { return size(s.root) }
+func (s *Snapshot) Len() int { return s.s.n }
 
 // Bytes returns the request-byte footprint at capture time.
-func (s *Snapshot) Bytes() int { return s.bytes }
+func (s *Snapshot) Bytes() int { return s.s.bytes }
 
 // Get returns the record stored for k at capture time, if any.
-func (s *Snapshot) Get(k block.Key) (block.Record, bool) {
-	return get(s.root, k)
-}
+func (s *Snapshot) Get(k block.Key) (block.Record, bool) { return s.s.get(k) }
 
 // Ascend calls fn for each captured record with key in [lo, hi] in key
 // order, stopping early if fn returns false.
 func (s *Snapshot) Ascend(lo, hi block.Key, fn func(block.Record) bool) {
-	ascend(s.root, lo, hi, fn)
+	s.s.ascend(lo, hi, fn)
 }
