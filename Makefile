@@ -92,8 +92,8 @@ crash:
 	$(GO) run ./cmd/crashloop -iters 60 -ops 100 -sync every
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync interval -interval 1ms
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync never
-	$(GO) run ./cmd/crashloop -iters 50 -ops 100 -sync every -shards 4
-	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout tiering -tier-runs 3
+	$(GO) run ./cmd/crashloop -iters 50 -ops 100 -sync every -shards 4 -paranoid
+	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout tiering -tier-runs 3 -paranoid
 	$(GO) run ./cmd/crashloop -iters 30 -ops 100 -sync every -layout lazy -tier-runs 3
 
 # Fault-domain isolation soak (internal/crashloop chaos mode via

@@ -345,6 +345,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"gamma one", func(o *lsmssd.Options) { o.Gamma = 1 }, "Gamma"},
 		{"gamma negative", func(o *lsmssd.Options) { o.Gamma = -3 }, "Gamma"},
 		{"blocksize negative", func(o *lsmssd.Options) { o.BlockSize = -4096 }, "BlockSize"},
+		{"epsilon above half", func(o *lsmssd.Options) { o.Epsilon = 0.7 }, "Epsilon"},
+		{"memtable blocks negative", func(o *lsmssd.Options) { o.MemtableBlocks = -1 }, "MemtableBlocks"},
+		{"records per block negative", func(o *lsmssd.Options) { o.RecordsPerBlock = -1 }, "RecordsPerBlock"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

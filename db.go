@@ -354,11 +354,17 @@ func (db *DB) stopRecorder() {
 	db.recOnce.Do(func() { db.recorder.Close() })
 }
 
-// Validate checks every internal invariant of every shard (level
-// ordering, waste constraints, storage accounting). The structural checks
-// run lock-free against each shard's current snapshot; only the
-// device-accounting cross-check briefly takes that shard's writer lock.
-// It does not perturb the I/O statistics.
+// Validate runs the tree check (internal/core, DESIGN.md §6.2) on every
+// shard. Lock-free, against the shard's current snapshot: fences and
+// fence search, overfull blocks, pairwise and level-wise waste, each
+// block's contents against its fence (record order, count, key range,
+// tombstone count), capacity labels, record totals, one run per leveled
+// level, tombstone-free leveled bottom, and — under SyncCompaction — the
+// level-size bound with the mid-cascade slack that holds at every
+// published state. Then, under
+// the shard's writer lock, the same metadata checks on the live levels
+// and the live-block accounting identity. It does not perturb the I/O
+// statistics.
 func (db *DB) Validate() error {
 	for _, s := range db.shards {
 		if err := s.validate(); err != nil {

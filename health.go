@@ -262,7 +262,7 @@ func (s *shard) scrubPass() {
 	var entries []scrubEntry
 	for _, lv := range v.Levels() {
 		for _, run := range lv.Runs {
-			for _, m := range run {
+			for _, m := range run.Metas {
 				entries = append(entries, scrubEntry{id: m.ID, level: lv.Number})
 			}
 		}

@@ -102,8 +102,8 @@ func liveBlock(t *testing.T, db *DB) (storage.BlockID, int) {
 	defer v.Release()
 	for _, lv := range v.Levels() {
 		for _, run := range lv.Runs {
-			if len(run) > 0 {
-				return run[0].ID, lv.Number
+			if len(run.Metas) > 0 {
+				return run.Metas[0].ID, lv.Number
 			}
 		}
 	}

@@ -46,9 +46,10 @@ type Config struct {
 	// the tree's MergeEvent/FlushEvent emissions so traces from sibling
 	// trees sharing one Bus stay attributable.
 	Shard int
-	// Auditor, when non-nil, runs after every merge and level growth (the
-	// paranoid hook; see internal/invariant). A non-nil return aborts the
-	// mutating operation with that error.
+	// Auditor, when non-nil, runs after every merge and level growth, before
+	// the new state is published (the paranoid hook; typically a closure
+	// over Tree.Check). A non-nil return aborts the mutating operation with
+	// that error.
 	Auditor func(*Tree) error
 	// Bus, when non-nil, receives typed observability events (merges,
 	// flushes, growths, waste warnings; see internal/obs). The tree never
@@ -67,23 +68,31 @@ func (c *Config) validate() error {
 	if c.Policy == nil {
 		return errors.New("core: Config.Policy is required")
 	}
-	if c.BlockCapacity < 1 {
-		return fmt.Errorf("core: BlockCapacity %d < 1", c.BlockCapacity)
-	}
-	if c.K0 < 1 {
-		return fmt.Errorf("core: K0 %d < 1", c.K0)
-	}
 	if c.Gamma == 0 {
 		c.Gamma = 10
-	}
-	if c.Gamma < 2 {
-		return fmt.Errorf("core: Gamma %d < 2", c.Gamma)
 	}
 	if c.Epsilon == 0 {
 		c.Epsilon = 0.2
 	}
-	if c.Epsilon < 0 || c.Epsilon > 0.5 {
-		return fmt.Errorf("core: Epsilon %v outside [0, 0.5]", c.Epsilon)
+	return CheckParams(c.BlockCapacity, c.K0, c.Gamma, c.Epsilon,
+		[4]string{"core: BlockCapacity", "core: K0", "core: Gamma", "core: Epsilon"})
+}
+
+// CheckParams checks the paper's shape parameters against the ranges the
+// engine runs with: B ≥ 1 records per block, K0 ≥ 1 blocks of L0, growth
+// factor Γ ≥ 2, and waste bound ε in (0, 0.5]. names label B, K0, Γ and ε
+// in the caller's vocabulary (Config fields here, the public Options
+// fields in package lsmssd), so each range is defined once.
+func CheckParams(b, k0, gamma int, epsilon float64, names [4]string) error {
+	switch {
+	case b < 1:
+		return fmt.Errorf("%s %d below 1: a data block must hold at least one record", names[0], b)
+	case k0 < 1:
+		return fmt.Errorf("%s %d below 1: L0 must hold at least one block", names[1], k0)
+	case gamma < 2:
+		return fmt.Errorf("%s %d below 2: levels must grow geometrically", names[2], gamma)
+	case epsilon <= 0 || epsilon > 0.5:
+		return fmt.Errorf("%s %g outside (0, 0.5]: ε is the allowed fraction of empty record slots per level", names[3], epsilon)
 	}
 	return nil
 }

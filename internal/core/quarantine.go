@@ -160,7 +160,7 @@ func (t *Tree) RepairBlock(id storage.BlockID) (repaired bool, err error) {
 	if perr != nil {
 		return false, nil
 	}
-	if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {
+	if level.CheckBlock(m, blk) != nil {
 		// The surviving copy does not match what the index says the
 		// block held; trusting it would repair corruption with
 		// corruption.

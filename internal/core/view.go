@@ -9,6 +9,7 @@ import (
 	"lsmssd/internal/block"
 	"lsmssd/internal/btree"
 	"lsmssd/internal/cache"
+	"lsmssd/internal/level"
 	"lsmssd/internal/memtable"
 	"lsmssd/internal/obs"
 	"lsmssd/internal/storage"
@@ -40,25 +41,38 @@ type View struct {
 	levels []LevelView
 }
 
-// LevelView is the frozen metadata of one storage level at capture time.
-// Runs holds one metadata slice per sorted run, newest first; a leveled
-// level has exactly one run, so Runs[0] is the classic level image.
+// LevelView is the frozen image of one storage level at capture time.
+// Runs holds one image per sorted run, newest first; a leveled level has
+// exactly one run, so Runs[0] is the classic level image.
 type LevelView struct {
 	Number        int // 1-based level number
-	Runs          [][]btree.BlockMeta
+	Runs          []RunView
 	Records       int
-	Capacity      int // K_i in blocks
 	WasteFactor   float64
 	BlocksWritten int64 // cumulative writes into this level
 	Compactions   int64
 }
 
+// RunView is the frozen image of one sorted run: its block metadata, in
+// key order, and what the run recorded about itself — the capacity label
+// and the cached record and tombstone totals the tree check compares with
+// the metadata.
+type RunView struct {
+	Metas      []btree.BlockMeta
+	Capacity   int // K_i in blocks, as labelled on the run
+	Records    int
+	Tombstones int
+}
+
+// Capacity returns K_i in blocks, as labelled on the level's newest run.
+func (lv *LevelView) Capacity() int { return lv.Runs[0].Capacity }
+
 // Blocks returns the number of data blocks in the level at capture time,
 // summed over its runs.
 func (lv *LevelView) Blocks() int {
 	n := 0
-	for _, metas := range lv.Runs {
-		n += len(metas)
+	for _, r := range lv.Runs {
+		n += len(r.Metas)
 	}
 	return n
 }
@@ -122,29 +136,7 @@ func (v *View) Release() {
 // and records a finished L0 merge drained are now in the levels. Writes
 // that only land in L0 do not publish; they mark the view stale.
 func (t *Tree) publish() {
-	levels := make([]LevelView, len(t.slots))
-	for i, s := range t.slots {
-		runs := make([][]btree.BlockMeta, len(s.runs))
-		blocks := 0
-		for j, r := range s.runs {
-			runs[j] = r.Index().All() // immutable: ReplaceRange swaps slices
-			blocks += r.Blocks()
-		}
-		records := s.records()
-		wf := 0.0
-		if blocks > 0 {
-			wf = float64(blocks*t.cfg.BlockCapacity-records) / float64(blocks*t.cfg.BlockCapacity)
-		}
-		levels[i] = LevelView{
-			Number:        i + 1,
-			Runs:          runs,
-			Records:       records,
-			Capacity:      s.newest().Capacity(),
-			WasteFactor:   wf,
-			BlocksWritten: s.blocksWritten(),
-			Compactions:   s.compactions(),
-		}
-	}
+	levels := t.levelImage()
 	t.viewMu.Lock()
 	if len(t.pending) > 0 && t.cur != nil {
 		t.zombies = append(t.zombies, zombieBatch{seq: t.cur.seq, ids: t.pending})
@@ -154,6 +146,37 @@ func (t *Tree) publish() {
 	t.taken = nil
 	t.installLocked(levels)
 	t.viewMu.Unlock()
+}
+
+// levelImage captures every storage level's current state: per run, the
+// frozen metadata slice (immutable — ReplaceRange swaps slices), capacity
+// label and cached totals, and per level the write series. publish
+// installs it for readers; Tree.Check audits it.
+func (t *Tree) levelImage() []LevelView {
+	levels := make([]LevelView, len(t.slots))
+	for i, s := range t.slots {
+		runs := make([]RunView, len(s.runs))
+		blocks, records := 0, 0
+		for j, r := range s.runs {
+			runs[j] = RunView{
+				Metas:      r.Index().All(),
+				Capacity:   r.Capacity(),
+				Records:    r.Records(),
+				Tombstones: r.Tombstones(),
+			}
+			blocks += r.Blocks()
+			records += r.Records()
+		}
+		levels[i] = LevelView{
+			Number:        i + 1,
+			Runs:          runs,
+			Records:       records,
+			WasteFactor:   level.WasteFactor(blocks, records, t.cfg.BlockCapacity),
+			BlocksWritten: s.blocksWritten(),
+			Compactions:   s.compactions(),
+		}
+	}
+	return levels
 }
 
 // takeL0 drains the records with key in [lo, hi] from L0 for a merge into
@@ -364,8 +387,8 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 	for i := range v.levels {
 		// Within a level, runs are consulted newest first: a match in a
 		// newer run shadows anything in the older ones.
-		for _, metas := range v.levels[i].Runs {
-			m, ok := findBlock(metas, k)
+		for j := range v.levels[i].Runs {
+			m, ok := findBlock(v.levels[i].Runs[j].Metas, k)
 			if !ok {
 				continue
 			}
@@ -454,7 +477,8 @@ func (v *View) Iter(lo, hi block.Key) *Iter {
 		streams = append(streams, &iterStream{recs: v.taken[from:to]})
 	}
 	for i := range v.levels {
-		for _, metas := range v.levels[i].Runs {
+		for j := range v.levels[i].Runs {
+			metas := v.levels[i].Runs[j].Metas
 			start, end := btree.OverlapIn(metas, lo, hi)
 			streams = append(streams, &iterStream{
 				dev: v.tree.dev, cache: v.tree.cache, metas: metas,
@@ -603,85 +627,4 @@ func (s *iterStream) skipKey(k block.Key) {
 	if s.cur != nil && s.curPos < len(s.cur) && s.cur[s.curPos].Key == k {
 		s.curPos++
 	}
-}
-
-// --- snapshot validation -------------------------------------------------
-
-// Validate checks the snapshot's structural invariants — fence ordering,
-// pairwise and level-wise waste constraints, capacity labels, bottom-level
-// tombstone absence, and fence/content consistency — without any lock and
-// without perturbing the I/O statistics (contents are read with Peek).
-//
-// Device-level accounting (live blocks vs references) spans state outside
-// any one snapshot; Tree.Validate checks it under the writer's quiescence.
-func (v *View) Validate() error {
-	cfg := v.tree.cfg
-	b := cfg.BlockCapacity
-	layout := v.tree.layout
-	for _, lv := range v.levels {
-		if want := cfg.capacityBlocks(lv.Number); lv.Capacity != want {
-			return fmt.Errorf("core: L%d capacity %d, want %d", lv.Number, lv.Capacity, want)
-		}
-		if !layout.Tiered(lv.Number, len(v.levels)+1) && len(lv.Runs) != 1 {
-			return fmt.Errorf("core: leveled L%d holds %d runs", lv.Number, len(lv.Runs))
-		}
-		bottomLeveled := lv.Number == len(v.levels) && !layout.Tiered(lv.Number, len(v.levels)+1)
-		for ri, metas := range lv.Runs {
-			if err := btree.ValidateMetas(metas); err != nil {
-				return fmt.Errorf("core: L%d run %d fences: %w", lv.Number, ri, err)
-			}
-			records := 0
-			for _, m := range metas {
-				records += m.Count
-			}
-			for j, m := range metas {
-				if m.Count > b {
-					return fmt.Errorf("core: L%d run %d block %d overfull: %d > B=%d", lv.Number, ri, j, m.Count, b)
-				}
-				if j+1 < len(metas) && m.Count+metas[j+1].Count <= b {
-					return fmt.Errorf("core: L%d run %d pairwise waste violated at %d: %d+%d <= B=%d",
-						lv.Number, ri, j, m.Count, metas[j+1].Count, b)
-				}
-			}
-			if !wasteOK(metas, records, b, cfg.Epsilon) {
-				return fmt.Errorf("core: L%d run %d waste factor %.3f exceeds ε=%.3f",
-					lv.Number, ri, wasteFactor(metas, records, b), cfg.Epsilon)
-			}
-			if bottomLeveled {
-				for j, m := range metas {
-					if m.Tombstones > 0 {
-						return fmt.Errorf("core: tombstones in bottom level block %d", j)
-					}
-				}
-			}
-			for j, m := range metas {
-				blk, err := v.PeekBlock(m.ID)
-				if err != nil {
-					return fmt.Errorf("core: L%d run %d block %d: %w", lv.Number, ri, j, err)
-				}
-				if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {
-					return fmt.Errorf("core: L%d run %d block %d metadata %+v does not match contents (%d records, [%d,%d])",
-						lv.Number, ri, j, m, blk.Len(), blk.MinKey(), blk.MaxKey())
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// wasteFactor mirrors level.WasteFactor for a frozen metadata slice.
-func wasteFactor(metas []btree.BlockMeta, records, b int) float64 {
-	if len(metas) == 0 {
-		return 0
-	}
-	return float64(len(metas)*b-records) / float64(len(metas)*b)
-}
-
-// wasteOK mirrors level.WasteOK (including its two exemptions) for a
-// frozen metadata slice.
-func wasteOK(metas []btree.BlockMeta, records, b int, epsilon float64) bool {
-	if len(metas) < 2 || len(metas)*b-records < b {
-		return true
-	}
-	return wasteFactor(metas, records, b) <= epsilon
 }

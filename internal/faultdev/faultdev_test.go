@@ -242,9 +242,6 @@ func TestPowerCutFullTreeRecovery(t *testing.T) {
 	if err := restored.Validate(); err != nil {
 		t.Fatalf("validate after power cut: %v", err)
 	}
-	if err := restored.ValidateAccounting(); err != nil {
-		t.Fatalf("accounting after power cut: %v", err)
-	}
 	for k := block.Key(0); k < 300; k++ {
 		v, ok, err := restored.Get(k)
 		if err != nil || !ok || len(v) != 1 || v[0] != byte(k) {

@@ -27,6 +27,17 @@ func buildTree(t *testing.T) (*core.Tree, *storage.MemDevice) {
 	return tree, dev
 }
 
+// acquire pins tree's current snapshot for the rest of the test.
+func acquire(t *testing.T, tree *core.Tree) *core.View {
+	t.Helper()
+	v, err := tree.AcquireView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Release)
+	return v
+}
+
 func TestLevelHistogram(t *testing.T) {
 	tree, dev := buildTree(t)
 	// Keys concentrated in the lower half of a [0, 1000) key space.
@@ -36,8 +47,9 @@ func TestLevelHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	v := acquire(t, tree)
 	before := dev.Counters().Reads
-	counts, err := Level(tree, 1, 1000, 10)
+	counts, err := ViewLevel(v, 1, 1000, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +75,21 @@ func TestLevelHistogram(t *testing.T) {
 
 func TestLevelHistogramRange(t *testing.T) {
 	tree, _ := buildTree(t)
-	if _, err := Level(tree, 0, 1000, 10); err == nil {
+	v := acquire(t, tree)
+	if _, err := ViewLevel(v, 0, 1000, 10); err == nil {
 		t.Error("level 0 accepted")
 	}
-	if _, err := Level(tree, 99, 1000, 10); err == nil {
+	if _, err := ViewLevel(v, 99, 1000, 10); err == nil {
 		t.Error("absent level accepted")
 	}
 }
 
-func TestMemtableHistogramAndNormalize(t *testing.T) {
-	tree, _ := buildTree(t)
-	for k := uint64(900); k < 910; k++ {
-		tree.Put(block.Key(k), []byte("v"))
-	}
-	counts := Memtable(tree, 1000, 10)
-	if counts[9] == 0 {
-		t.Error("keys 900-909 not in the last bucket")
-	}
+func TestNormalize(t *testing.T) {
+	counts := []int{0, 3, 0, 1, 0, 0, 0, 0, 0, 4}
 	norm := Normalize(counts)
+	if norm[9] != 0.5 || norm[1] != 0.375 {
+		t.Errorf("normalized = %v", norm)
+	}
 	sum := 0.0
 	for _, f := range norm {
 		sum += f

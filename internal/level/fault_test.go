@@ -2,6 +2,7 @@ package level
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"lsmssd/internal/block"
@@ -72,8 +73,8 @@ func TestValidateContentsDetectsMetaDrift(t *testing.T) {
 	m := l.Index().Meta(0)
 	m.Max += 1
 	l.Index().ReplaceRange(0, 1, []btree.BlockMeta{m})
-	if err := l.ValidateContents(); err == nil {
-		t.Error("metadata drift not detected")
+	if err := check(l); err == nil || !strings.Contains(err.Error(), "stale fence pointer") {
+		t.Errorf("metadata drift: %v", err)
 	}
 }
 
@@ -86,7 +87,7 @@ func TestRepairRangeOutOfBoundsIsSafe(t *testing.T) {
 			t.Errorf("RepairRange(%v) errored: %v", bounds, err)
 		}
 	}
-	if err := l.ValidateContents(); err != nil {
+	if err := check(l); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -18,8 +18,6 @@
 package level
 
 import (
-	"fmt"
-
 	"lsmssd/internal/block"
 	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
@@ -122,31 +120,15 @@ func (l *Level) EmptySlots() int { return l.idx.Len()*l.b - l.idx.Records() }
 
 // WasteFactor returns the fraction of empty slots across the level's data
 // blocks, or 0 for an empty level.
-func (l *Level) WasteFactor() float64 {
-	if l.idx.Len() == 0 {
-		return 0
-	}
-	return float64(l.EmptySlots()) / float64(l.idx.Len()*l.b)
-}
+func (l *Level) WasteFactor() float64 { return WasteFactor(l.idx.Len(), l.idx.Records(), l.b) }
 
-// WasteOK reports whether the level-wise waste constraint holds. Levels
-// with fewer than two data blocks are exempt (a single block may be
-// arbitrarily empty), and so are maximally packed levels (fewer empty
-// slots than one block): a small level can exceed ε even when compacted —
-// e.g. 6 records with B=5 pack as (5,1), waste 0.4 — and compaction cannot
-// improve on maximal packing.
-func (l *Level) WasteOK() bool {
-	if l.idx.Len() < 2 || l.EmptySlots() < l.b {
-		return true
-	}
-	return l.WasteFactor() <= l.epsilon
-}
+// WasteOK reports whether the level-wise waste constraint holds.
+func (l *Level) WasteOK() bool { return wasteOK(l.idx.Len(), l.idx.Records(), l.b, l.epsilon) }
 
 // PairOK reports whether the pairwise waste constraint holds between the
-// blocks at positions i and i+1: together they must hold strictly more
-// than B records.
+// blocks at positions i and i+1.
 func (l *Level) PairOK(i int) bool {
-	return l.idx.Meta(i).Count+l.idx.Meta(i+1).Count > l.b
+	return pairOK(l.idx.Meta(i).Count, l.idx.Meta(i+1).Count, l.b)
 }
 
 // ReadAt returns the data block at position i, counting a device read.
@@ -312,47 +294,4 @@ func (l *Level) Compact() (int, error) {
 	l.slackUsed = 0
 	l.Compactions++
 	return len(blocks), nil
-}
-
-// Validate checks all level invariants: index consistency, the pairwise
-// constraint between every adjacent pair, and the level-wise waste bound.
-func (l *Level) Validate() error {
-	if err := l.idx.Validate(); err != nil {
-		return err
-	}
-	for i := 0; i+1 < l.idx.Len(); i++ {
-		if !l.PairOK(i) {
-			return fmt.Errorf("level: pairwise waste violated at %d: %d+%d <= B=%d",
-				i, l.idx.Meta(i).Count, l.idx.Meta(i+1).Count, l.b)
-		}
-	}
-	if !l.WasteOK() {
-		return fmt.Errorf("level: waste factor %.3f exceeds ε=%.3f", l.WasteFactor(), l.epsilon)
-	}
-	for i := 0; i < l.idx.Len(); i++ {
-		if c := l.idx.Meta(i).Count; c > l.b {
-			return fmt.Errorf("level: block %d overfull: %d > B=%d", i, c, l.b)
-		}
-	}
-	return nil
-}
-
-// ValidateContents additionally checks that metadata matches the stored
-// blocks (diagnostic; uses Peek so accounting is unaffected).
-func (l *Level) ValidateContents() error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	for i := 0; i < l.idx.Len(); i++ {
-		m := l.idx.Meta(i)
-		blk, err := l.dev.Peek(m.ID)
-		if err != nil {
-			return fmt.Errorf("level: block %d: %w", i, err)
-		}
-		if blk.Len() != m.Count || blk.MinKey() != m.Min || blk.MaxKey() != m.Max {
-			return fmt.Errorf("level: block %d metadata %+v does not match contents (%d records, [%d,%d])",
-				i, m, blk.Len(), blk.MinKey(), blk.MaxKey())
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package level
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +103,8 @@ func TestPairOKAndRepair(t *testing.T) {
 	if l.Blocks() != 2 || l.Records() != 8 {
 		t.Errorf("after repair blocks/records = %d/%d, want 2/8", l.Blocks(), l.Records())
 	}
-	if err := l.ValidateContents(); err != nil {
-		t.Errorf("ValidateContents after repair: %v", err)
+	if err := check(l); err != nil {
+		t.Errorf("run check after repair: %v", err)
 	}
 	// Repair of a healthy pair is a no-op.
 	repaired, err = l.RepairPair(0)
@@ -133,8 +134,8 @@ func TestCompact(t *testing.T) {
 	if after.Live != 3 {
 		t.Errorf("live blocks = %d, want 3 (old blocks freed)", after.Live)
 	}
-	if err := l.ValidateContents(); err != nil {
-		t.Errorf("ValidateContents after compact: %v", err)
+	if err := check(l); err != nil {
+		t.Errorf("run check after compact: %v", err)
 	}
 	if l.Compactions != 1 {
 		t.Errorf("Compactions = %d, want 1", l.Compactions)
@@ -225,16 +226,20 @@ func TestReplaceRangePreservesKeptBlocks(t *testing.T) {
 	}
 }
 
+// check applies the run check, block contents included, to l's current
+// blocks.
+func check(l *Level) error { return CheckRun(l.idx.All(), l.b, l.epsilon, l.PeekAt) }
+
 func TestValidateDetectsViolations(t *testing.T) {
 	l, _ := newLevel(t)
 	load(t, l, 1, 1) // pairwise violation: 1+1 <= 4
-	if err := l.Validate(); err == nil {
-		t.Error("Validate passed with pairwise violation")
+	if err := check(l); err == nil || !strings.Contains(err.Error(), "pairwise") {
+		t.Errorf("run check with a pairwise violation: %v", err)
 	}
 	l2, _ := newLevel(t)
 	load(t, l2, 2, 4, 2) // waste 4/12 = 0.33 > 0.2, pairwise OK, >= B slots empty
-	if err := l2.Validate(); err == nil {
-		t.Error("Validate passed with level-wise violation")
+	if err := check(l2); err == nil || !strings.Contains(err.Error(), "level-wise waste") {
+		t.Errorf("run check with a level-wise violation: %v", err)
 	}
 }
 
@@ -268,7 +273,7 @@ func TestQuickCompactPreservesRecords(t *testing.T) {
 		if _, err := l.Compact(); err != nil {
 			return false
 		}
-		if err := l.ValidateContents(); err != nil {
+		if err := check(l); err != nil {
 			return false
 		}
 		var got []block.Key

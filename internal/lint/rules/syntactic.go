@@ -93,133 +93,106 @@ func restrictedMethodCall(ctx *lint.Context, call *ast.CallExpr, pkgPath, typeNa
 	return sel, s, true
 }
 
-var deviceIO = lint.Rule{
-	Name: "device-io",
-	Doc:  "storage.Device.Read/Write confined to the block-I/O accounting layers",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if inList(ctx.Pkg.Path, ctx.Cfg.DeviceIOAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.DevicePkg, "", ctx.Cfg.DeviceMethods)
-				if !ok {
-					return true
-				}
-				recv := s.Recv()
-				if ptr, ok := recv.(*types.Pointer); ok {
-					recv = ptr.Elem()
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "device-io",
-					Msg: fmt.Sprintf("direct %s.%s.%s call outside the block-I/O layers breaks write-cost accounting; route it through level/merge/core",
-						ctx.Cfg.DevicePkg, recv.(*types.Named).Obj().Name(), s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
-	},
+// restrictedCall describes a rule that confines calls to some methods of
+// one package's types to an allowlist of packages (device-io, tree-state,
+// compaction-step, wal-frame).
+type restrictedCall struct {
+	name, doc string
+	// target picks the rule's parameters out of the configuration: the
+	// declaring package, the receiver type name ("" for any named type of
+	// that package), the restricted method names, and the packages
+	// allowed to call them. An empty package or method list disables the
+	// rule.
+	target func(cfg lint.Config) (pkg, typ string, methods, allowed []string)
+	// msg renders the finding for the selected method call.
+	msg func(ctx *lint.Context, s *types.Selection) string
 }
 
-var treeState = lint.Rule{
-	Name: "tree-state",
-	Doc:  "live core.Tree level state readable only by writer-side packages",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.TreePkg == "" || inList(ctx.Pkg.Path, ctx.Cfg.TreeStateAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
+// restrictedCallRule builds the lint rule r describes.
+func restrictedCallRule(r restrictedCall) lint.Rule {
+	return lint.Rule{
+		Name: r.name,
+		Doc:  r.doc,
+		Run: func(ctx *lint.Context) []lint.Finding {
+			pkg, typ, methods, allowed := r.target(ctx.Cfg)
+			if pkg == "" || len(methods) == 0 || inList(ctx.Pkg.Path, allowed) {
+				return nil
+			}
+			var out []lint.Finding
+			eachFile(ctx, func(f *ast.File) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, s, ok := restrictedMethodCall(ctx, call, pkg, typ, methods)
+					if !ok {
+						return true
+					}
+					out = append(out, lint.Finding{
+						Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
+						Rule: r.name,
+						Msg:  r.msg(ctx, s),
+					})
 					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.TreePkg, "Tree", ctx.Cfg.TreeStateMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "tree-state",
-					Msg: fmt.Sprintf("core.Tree.%s reads live level state that mutates under concurrent merges; acquire a snapshot with Tree.AcquireView instead",
-						s.Obj().Name()),
 				})
-				return true
 			})
-		})
-		return out
-	},
+			return out
+		},
+	}
 }
 
-var compactionStep = lint.Rule{
-	Name: "compaction-step",
-	Doc:  "merge cascades driven only from the compaction scheduling layer",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.TreePkg == "" || len(ctx.Cfg.CompactionMethods) == 0 || inList(ctx.Pkg.Path, ctx.Cfg.CompactionAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.TreePkg, "Tree", ctx.Cfg.CompactionMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "compaction-step",
-					Msg: fmt.Sprintf("core.Tree.%s drives the merge cascade outside the compaction scheduler; go through compaction.Scheduler (or compaction.Driver) so backpressure and error parking see every step",
-						s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
+var deviceIO = restrictedCallRule(restrictedCall{
+	name: "device-io",
+	doc:  "storage.Device.Read/Write confined to the block-I/O accounting layers",
+	target: func(cfg lint.Config) (string, string, []string, []string) {
+		return cfg.DevicePkg, "", cfg.DeviceMethods, cfg.DeviceIOAllowed
 	},
-}
+	msg: func(ctx *lint.Context, s *types.Selection) string {
+		recv := s.Recv()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		return fmt.Sprintf("direct %s.%s.%s call outside the block-I/O layers breaks write-cost accounting; route it through level/merge/core",
+			ctx.Cfg.DevicePkg, recv.(*types.Named).Obj().Name(), s.Obj().Name())
+	},
+})
 
-var walFrame = lint.Rule{
-	Name: "wal-frame",
-	Doc:  "wal.Log mutations confined to the durability layer",
-	Run: func(ctx *lint.Context) []lint.Finding {
-		if ctx.Cfg.WALPkg == "" || len(ctx.Cfg.WALMethods) == 0 || inList(ctx.Pkg.Path, ctx.Cfg.WALAllowed) {
-			return nil
-		}
-		var out []lint.Finding
-		eachFile(ctx, func(f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, s, ok := restrictedMethodCall(ctx, call, ctx.Cfg.WALPkg, "Log", ctx.Cfg.WALMethods)
-				if !ok {
-					return true
-				}
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(sel.Sel.Pos()),
-					Rule: "wal-frame",
-					Msg: fmt.Sprintf("wal.Log.%s called outside the durability layer; frames are appended and garbage-collected only by the DB's commit protocol so acked writes stay recoverable",
-						s.Obj().Name()),
-				})
-				return true
-			})
-		})
-		return out
+var treeState = restrictedCallRule(restrictedCall{
+	name: "tree-state",
+	doc:  "live core.Tree level state readable only by writer-side packages",
+	target: func(cfg lint.Config) (string, string, []string, []string) {
+		return cfg.TreePkg, "Tree", cfg.TreeStateMethods, cfg.TreeStateAllowed
 	},
-}
+	msg: func(_ *lint.Context, s *types.Selection) string {
+		return fmt.Sprintf("core.Tree.%s reads live level state that mutates under concurrent merges; acquire a snapshot with Tree.AcquireView instead",
+			s.Obj().Name())
+	},
+})
+
+var compactionStep = restrictedCallRule(restrictedCall{
+	name: "compaction-step",
+	doc:  "merge cascades driven only from the compaction scheduling layer",
+	target: func(cfg lint.Config) (string, string, []string, []string) {
+		return cfg.TreePkg, "Tree", cfg.CompactionMethods, cfg.CompactionAllowed
+	},
+	msg: func(_ *lint.Context, s *types.Selection) string {
+		return fmt.Sprintf("core.Tree.%s drives the merge cascade outside the compaction scheduler; go through compaction.Scheduler (or compaction.Driver) so backpressure and error parking see every step",
+			s.Obj().Name())
+	},
+})
+
+var walFrame = restrictedCallRule(restrictedCall{
+	name: "wal-frame",
+	doc:  "wal.Log mutations confined to the durability layer",
+	target: func(cfg lint.Config) (string, string, []string, []string) {
+		return cfg.WALPkg, "Log", cfg.WALMethods, cfg.WALAllowed
+	},
+	msg: func(_ *lint.Context, s *types.Selection) string {
+		return fmt.Sprintf("wal.Log.%s called outside the durability layer; frames are appended and garbage-collected only by the DB's commit protocol so acked writes stay recoverable",
+			s.Obj().Name())
+	},
+})
 
 var obsEvent = lint.Rule{
 	Name: "obs-event",

@@ -40,7 +40,7 @@ func TestPreserveYBlockExplicit(t *testing.T) {
 	wantKeys(t, keysOf(t, tgt), []block.Key{
 		10, 11, 12, 13, 20, 21, 22, 23, 30, 31, 32, 33, 40, 41, 42, 43,
 	})
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -63,7 +63,7 @@ func TestPreserveRejectedBySlack(t *testing.T) {
 	if res.PreservedX != 0 {
 		t.Errorf("sparse block preserved despite zero slack: %+v", res)
 	}
-	if err := tgt.Validate(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -88,7 +88,7 @@ func TestEqualKeysAtBlockBoundaries(t *testing.T) {
 	if r13.Payload[0] != 0xAA || r14.Payload[0] != 0xBB {
 		t.Errorf("boundary consolidation lost X's records: %v %v", r13, r14)
 	}
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -111,7 +111,7 @@ func TestMergeBeyondTargetEnd(t *testing.T) {
 	if got := dev.Counters().Writes - before; got != 1 {
 		t.Errorf("append merge cost %d writes, want 1", got)
 	}
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -125,7 +125,7 @@ func TestMergeBeforeTargetStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantKeys(t, keysOf(t, tgt), []block.Key{1, 2, 3, 4, 100, 101, 102, 103})
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -159,7 +159,7 @@ func TestRepairCascades(t *testing.T) {
 	if repairs < 2 {
 		t.Errorf("repairs = %d, want cascade of >= 2", repairs)
 	}
-	if err := l.ValidateContents(); err != nil {
+	if err := checkRun(l, 0.5); err != nil {
 		t.Error(err)
 	}
 }

@@ -41,6 +41,12 @@ func put(t *testing.T, l *level.Level, groups ...[]block.Key) {
 	}
 }
 
+// checkRun applies the run check, block contents included, to l's
+// current blocks under waste bound epsilon.
+func checkRun(l *level.Level, epsilon float64) error {
+	return level.CheckRun(l.Index().All(), l.BlockCapacity(), epsilon, l.PeekAt)
+}
+
 func recSrc(keys ...block.Key) *RecordSource {
 	rs := make([]block.Record, len(keys))
 	for i, k := range keys {
@@ -91,7 +97,7 @@ func TestMergeIntoEmptyTarget(t *testing.T) {
 	if dev.Counters().Writes != 2 {
 		t.Errorf("device writes = %d, want 2", dev.Counters().Writes)
 	}
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -117,7 +123,7 @@ func TestMergeInterleavesAndConsolidates(t *testing.T) {
 	if r, _, _ := tgt.Get(60); r.Payload[0] != 0xFF {
 		t.Error("Get(60): consolidation kept the old record")
 	}
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -149,7 +155,7 @@ func TestTombstoneDroppedAtBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantKeys(t, keysOf(t, tgt), []block.Key{10, 30, 40})
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -213,7 +219,7 @@ func TestPreserveSourceBlockIntoGap(t *testing.T) {
 		t.Errorf("source still has %d blocks", srcLvl.Blocks())
 	}
 	wantKeys(t, keysOf(t, tgt), []block.Key{10, 11, 12, 13, 50, 51, 52, 53, 100, 101, 102, 103})
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 }
@@ -251,7 +257,7 @@ func TestPreserveTargetBlocksAroundPointMerge(t *testing.T) {
 	if r.Payload[0] != 52 {
 		t.Error("X's record for 52 did not win")
 	}
-	if err := tgt.ValidateContents(); err != nil {
+	if err := checkRun(tgt, 0.2); err != nil {
 		t.Error(err)
 	}
 	t.Logf("writes=%d preservedY=%d", dev.Counters().Writes-before.Writes, res.PreservedY)
@@ -320,7 +326,7 @@ func TestRemoveSourceWindowRepairsGap(t *testing.T) {
 		t.Errorf("blocks = %d, want 1 combined block", l.Blocks())
 	}
 	wantKeys(t, keysOf(t, l), []block.Key{10, 11, 30, 31})
-	if err := l.ValidateContents(); err != nil {
+	if err := checkRun(l, 0.5); err != nil {
 		t.Error(err)
 	}
 }
@@ -472,10 +478,10 @@ func TestQuickMergeModelCheck(t *testing.T) {
 				return false
 			}
 		}
-		if err := tgt.ValidateContents(); err != nil {
+		if err := checkRun(tgt, 0.2); err != nil {
 			return false
 		}
-		if err := srcLvl.ValidateContents(); err != nil {
+		if err := checkRun(srcLvl, 0.2); err != nil {
 			return false
 		}
 		// No leaked blocks: everything live is referenced by an index.
@@ -519,7 +525,7 @@ func TestQuickPreservationRespectsWasteBound(t *testing.T) {
 			if _, err := Merge(src, 0, src.NumBlocks(), tgt, Options{Preserve: true}); err != nil {
 				return false
 			}
-			if err := tgt.Validate(); err != nil {
+			if err := checkRun(tgt, 0.2); err != nil {
 				return false
 			}
 		}

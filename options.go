@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/core"
 	"lsmssd/internal/policy"
 	"lsmssd/internal/storage"
 	"lsmssd/internal/wal"
@@ -240,7 +241,7 @@ type Options struct {
 	// Gamma is Γ, the capacity ratio between adjacent levels (default 10).
 	Gamma int
 	// Epsilon is ε, the maximum fraction of empty record slots allowed
-	// per level (default 0.2).
+	// per level, in (0, 0.5] (default 0.2).
 	Epsilon float64
 	// Delta is δ, the fraction of a level a partial merge takes
 	// (default 0.07, the paper's experimental setting).
@@ -353,13 +354,22 @@ type Options struct {
 	// fault-isolation tests wrap shards in a faultdev here. Production
 	// code leaves it nil.
 	DeviceWrap func(shard int, dev storage.Device) storage.Device
-	// Paranoid audits the paper's structural invariants (waste bounds,
-	// pairwise block constraint, fence consistency, level-size bounds; see
-	// internal/invariant) after every merge, level growth, and request.
-	// A violation surfaces as an error from the mutating call. Intended
-	// for tests and debugging: the per-merge audit reads every data block
-	// (via Peek, so I/O statistics are unaffected), which is far too
-	// expensive for production traffic.
+	// Paranoid runs the tree check (internal/core, DESIGN.md §6.2) on
+	// every shard:
+	//   - after every merge and level growth, before readers see the new
+	//     state: fences and fence search, overfull blocks, pairwise and
+	//     level-wise waste, block contents, capacity labels, record totals,
+	//     one run per leveled level, the mid-cascade level-size bound
+	//     (SyncCompaction only), bottom-level tombstones and live-block
+	//     accounting;
+	//   - after every request, on metadata only: the same checks plus the
+	//     steady-state bounds (L0 size, tiered run budget T, strict level
+	//     size) unless a background cascade is still draining;
+	//   - on Open from a manifest: the strict check, contents included.
+	// A violation surfaces as an error from the mutating call (or Open).
+	// Intended for tests and debugging: the per-merge audit reads every
+	// data block (via Peek, so I/O statistics are unaffected), which is
+	// far too expensive for production traffic.
 	Paranoid bool
 }
 
@@ -449,14 +459,13 @@ func (o Options) Validate() error {
 	if o.BlockSize < 0 {
 		return fmt.Errorf("lsmssd: Options.BlockSize %d is negative", o.BlockSize)
 	}
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("lsmssd: Options.Epsilon %g outside (0, 1): ε is the allowed fraction of empty record slots per level", o.Epsilon)
+	if err := core.CheckParams(o.RecordsPerBlock, o.MemtableBlocks, o.Gamma, o.Epsilon, [4]string{
+		"lsmssd: Options.RecordsPerBlock", "lsmssd: Options.MemtableBlocks", "lsmssd: Options.Gamma", "lsmssd: Options.Epsilon",
+	}); err != nil {
+		return err
 	}
 	if o.Delta <= 0 || o.Delta > 1 {
 		return fmt.Errorf("lsmssd: Options.Delta %g outside (0, 1]: δ is the fraction of a level one partial merge takes", o.Delta)
-	}
-	if o.Gamma < 2 {
-		return fmt.Errorf("lsmssd: Options.Gamma %d below 2: levels must grow geometrically", o.Gamma)
 	}
 	switch o.Layout {
 	case Leveling, Tiering, LazyLeveling:

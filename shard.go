@@ -11,7 +11,6 @@ import (
 	"lsmssd/internal/compaction"
 	"lsmssd/internal/core"
 	"lsmssd/internal/health"
-	"lsmssd/internal/invariant"
 	"lsmssd/internal/manifest"
 	"lsmssd/internal/obs"
 	"lsmssd/internal/policy"
@@ -117,18 +116,8 @@ func (db *DB) openShard(id int) (*shard, error) {
 		Lat:             s.lat,
 	}
 	if opts.Paranoid {
-		// Mid-cascade audits tolerate in-flight records: a merge may land
-		// in a level whose own overflow the cascade has not reached yet.
-		// Under background compaction the audit runs on the scheduler
-		// goroutine between concurrently admitted writes, so L0's bound is
-		// the stall gate's StopTrigger rather than K0.
-		audit := invariant.Options{MidCascade: true}
-		if opts.CompactionMode == BackgroundCompaction {
-			audit.L0CapacityBlocks = opts.StopTrigger
-		}
-		cfg.Auditor = func(t *core.Tree) error {
-			return invariant.Check(t, audit)
-		}
+		audit := opts.auditOptions()
+		cfg.Auditor = func(t *core.Tree) error { return t.Check(audit) }
 	}
 
 	restored := false
@@ -274,7 +263,7 @@ func (s *shard) restore(cfg core.Config, st manifest.State) error {
 		return errors.Join(err, fd.Close())
 	}
 	if opts.Paranoid {
-		if err := invariant.CheckTree(tree); err != nil {
+		if err := tree.Validate(); err != nil {
 			return errors.Join(fmt.Errorf("lsmssd: restored state: %w", err), fd.Close())
 		}
 	}
@@ -547,6 +536,20 @@ func (s *shard) write(ops []core.BatchOp, sp *obs.Span) (err error) {
 	return s.paranoidSteadyCheck()
 }
 
+// auditOptions are the tree-check options that hold at every state a
+// merge or level growth publishes. Mid-cascade checks tolerate in-flight
+// records: a merge may land in a level whose own overflow the cascade has
+// not reached yet. Under background compaction the check runs between
+// concurrently admitted writes, so L0's bound is the stall gate's
+// StopTrigger rather than K0.
+func (o Options) auditOptions() core.AuditOptions {
+	a := core.AuditOptions{MidCascade: true}
+	if o.CompactionMode == BackgroundCompaction {
+		a.L0CapacityBlocks = o.StopTrigger
+	}
+	return a
+}
+
 // paranoidSteadyCheck asserts the strict (post-cascade) bounds after a
 // mutating request when Paranoid is set. Metadata only: the per-merge
 // auditor already verified block contents. The strictness is keyed off
@@ -556,12 +559,12 @@ func (s *shard) paranoidSteadyCheck() error {
 	if !s.db.opts.Paranoid {
 		return nil
 	}
-	o := invariant.Options{SkipContents: true}
+	var o core.AuditOptions
 	if s.sched.Pending() {
-		o.MidCascade = true
-		o.L0CapacityBlocks = s.db.opts.StopTrigger
+		o = s.db.opts.auditOptions()
 	}
-	return invariant.Check(s.tree, o)
+	o.SkipContents = true
+	return s.tree.Check(o)
 }
 
 // acquireView pins the shard's current read snapshot, translating a
@@ -578,15 +581,18 @@ func (s *shard) acquireView() (*core.View, error) {
 	return v, nil
 }
 
-// validate checks the shard's structural invariants against its current
-// snapshot, then the device-accounting cross-check under its writer lock.
+// validate runs the tree check on the shard's current snapshot, block
+// contents included, with the bounds that hold at every published state;
+// then, under its writer lock, on the live levels' metadata together with
+// the live-block accounting identity.
 func (s *shard) validate() error {
 	v, err := s.acquireView()
 	if err != nil {
 		return err
 	}
 	defer v.Release()
-	if err := v.Validate(); err != nil {
+	o := s.db.opts.auditOptions()
+	if err := v.Validate(o); err != nil {
 		return err
 	}
 	s.writerMu.Lock()
@@ -594,7 +600,8 @@ func (s *shard) validate() error {
 	if s.db.closed.Load() {
 		return ErrClosed
 	}
-	return s.tree.ValidateAccounting()
+	o.SkipContents = true
+	return s.tree.Check(o)
 }
 
 // forceGrow adds a storage level to this shard's tree.

@@ -337,7 +337,7 @@ func (s *shard) stats() (ShardStats, bool) {
 			Runs:           len(lv.Runs),
 			Blocks:         lv.Blocks(),
 			Records:        lv.Records,
-			CapacityBlocks: lv.Capacity,
+			CapacityBlocks: lv.Capacity(),
 			WasteFactor:    lv.WasteFactor,
 			BlocksWritten:  lv.BlocksWritten,
 			Compactions:    lv.Compactions,
