@@ -30,10 +30,6 @@ func (bb *Builder) Add(r Record) {
 // finished block).
 func (bb *Builder) Buffered() int { return len(bb.buf) }
 
-// BufferedRecords exposes the current buffer (read-only), used by the
-// block-preserving merge to run its waste checks against the pending block.
-func (bb *Builder) BufferedRecords() []Record { return bb.buf }
-
 // FlushPartial finishes the current buffer into a (possibly non-full)
 // block. It is a no-op when the buffer is empty. The block-preserving merge
 // calls this before reusing an input block, so that preserved blocks keep
@@ -51,14 +47,6 @@ func (bb *Builder) AppendExisting(b *Block) {
 		panic("block: AppendExisting with non-empty buffer; call FlushPartial first")
 	}
 	bb.out = append(bb.out, b)
-}
-
-// LastBlock returns the most recently finished block, or nil.
-func (bb *Builder) LastBlock() *Block {
-	if len(bb.out) == 0 {
-		return nil
-	}
-	return bb.out[len(bb.out)-1]
 }
 
 // Finish flushes any remaining records and returns the finished blocks.

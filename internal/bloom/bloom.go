@@ -3,10 +3,11 @@
 //
 // The paper treats Bloom filters as an orthogonal optimization (its
 // technical report discusses how they compose with the merge techniques);
-// they are implemented here as an optional extension. A Registry holds one
-// filter per live data block, keyed by block ID, so filters survive
-// block-preserving merges (the block, and therefore its filter, simply
-// changes levels) and disappear with the block on free.
+// they are implemented here as an optional extension. Each data block's
+// filter lives in the block's index entry (btree.BlockMeta), so it travels
+// with the block: a block-preserving merge moves the entry, and therefore
+// the filter, to the next level, and a freed block's filter goes with its
+// entry.
 package bloom
 
 import "lsmssd/internal/block"
@@ -48,6 +49,19 @@ func NewFilter(keys []block.Key, bitsPerKey float64) *Filter {
 		}
 	}
 	return f
+}
+
+// ForBlock builds the filter over a data block's keys at bitsPerKey bits
+// per key, or returns nil when bitsPerKey is not positive (filters off).
+func ForBlock(b *block.Block, bitsPerKey float64) *Filter {
+	if bitsPerKey <= 0 {
+		return nil
+	}
+	keys := make([]block.Key, b.Len())
+	for i, r := range b.Records() {
+		keys[i] = r.Key
+	}
+	return NewFilter(keys, bitsPerKey)
 }
 
 // MayContain reports whether k may be in the filter's key set. False

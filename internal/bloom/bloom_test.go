@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"lsmssd/internal/block"
-	"lsmssd/internal/storage"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -59,37 +58,17 @@ func TestEmptyFilter(t *testing.T) {
 	}
 }
 
-func TestRegistryLifecycle(t *testing.T) {
-	r := NewRegistry(10)
+func TestForBlock(t *testing.T) {
 	b := block.New([]block.Record{{Key: 1}, {Key: 5}, {Key: 9}})
-	r.Add(7, b)
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if ForBlock(b, 0) != nil {
+		t.Error("filters off must build no filter")
 	}
-	if !r.MayContain(7, 5) {
-		t.Error("registered key reported absent")
+	f := ForBlock(b, 10)
+	for _, r := range b.Records() {
+		if !f.MayContain(r.Key) {
+			t.Errorf("block key %d reported absent", r.Key)
+		}
 	}
-	if r.MemoryBits() <= 0 {
-		t.Error("MemoryBits not accounted")
-	}
-	// Unknown block is conservative.
-	if !r.MayContain(99, 5) {
-		t.Error("unknown block must conservatively report true")
-	}
-	r.Drop(7)
-	if r.Len() != 0 {
-		t.Errorf("Len after Drop = %d", r.Len())
-	}
-	// Skip accounting: a key far from the block's set should usually
-	// skip; at minimum the counters move.
-	r.Add(8, b)
-	sk, pa := r.Counts()
-	before := sk + pa
-	r.MayContain(8, 123456789)
-	if sk, pa = r.Counts(); sk+pa != before+1 {
-		t.Error("lookup not counted")
-	}
-	_ = storage.BlockID(0) // keep import honest in minimal builds
 }
 
 // Property: filters never produce false negatives for any key set.

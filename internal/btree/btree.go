@@ -18,18 +18,22 @@ import (
 	"fmt"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/bloom"
 	"lsmssd/internal/storage"
 )
 
 // BlockMeta is the fence-key entry for one data block. Tombstones counts
 // the delete records inside the block; the block-preserving merge consults
 // it to refuse reusing a tombstone-carrying block in the bottom level,
-// where tombstones must not survive.
+// where tombstones must not survive. Filter is the block's Bloom filter,
+// nil when filters are off; being part of the entry, it moves with a
+// preserved block and goes with a freed one.
 type BlockMeta struct {
 	ID         storage.BlockID
 	Min, Max   block.Key
-	Count      int // number of records in the block
-	Tombstones int // number of tombstone (delete) records among them
+	Count      int           // number of records in the block
+	Tombstones int           // number of tombstone (delete) records among them
+	Filter     *bloom.Filter // immutable, like the block; nil when filters are off
 }
 
 // MetaFor builds the BlockMeta describing b stored under id.
@@ -52,7 +56,7 @@ type Index struct {
 }
 
 // NewIndex builds an index over the given metadata, which must be in key
-// order with disjoint ranges (validated lazily via Validate).
+// order with disjoint ranges (see ValidateMetas).
 func NewIndex(metas []BlockMeta) *Index {
 	x := &Index{metas: metas}
 	for _, m := range metas {
@@ -164,31 +168,9 @@ func (x *Index) ReplaceRange(i, j int, repl []BlockMeta) {
 	x.metas = out
 }
 
-// Validate checks the level invariants: every block non-empty with
-// Min <= Max, blocks in key order with disjoint ranges, and the cached
-// record total consistent.
-func (x *Index) Validate() error {
-	if err := ValidateMetas(x.metas); err != nil {
-		return err
-	}
-	total, tombs := 0, 0
-	for _, m := range x.metas {
-		total += m.Count
-		tombs += m.Tombstones
-	}
-	if total != x.records {
-		return fmt.Errorf("btree: cached record count %d != actual %d", x.records, total)
-	}
-	if tombs != x.tombstones {
-		return fmt.Errorf("btree: cached tombstone count %d != actual %d", x.tombstones, tombs)
-	}
-	return nil
-}
-
 // ValidateMetas checks the fence invariants of a metadata slice: every
 // block non-empty with a valid id and Min <= Max, blocks in key order with
-// disjoint ranges. It is the slice-level form of Index.Validate for the
-// frozen slices captured by read snapshots.
+// disjoint ranges.
 func ValidateMetas(metas []BlockMeta) error {
 	for i, m := range metas {
 		if m.Count <= 0 {

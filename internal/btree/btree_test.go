@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,23 @@ func seq(n int) *Index {
 		metas[i] = meta(storage.BlockID(i+1), block.Key(i*10), block.Key(i*10+5), 3)
 	}
 	return NewIndex(metas)
+}
+
+// checkIndex checks x's fences and that its incrementally maintained
+// record and tombstone totals match them.
+func checkIndex(x *Index) error {
+	if err := ValidateMetas(x.All()); err != nil {
+		return err
+	}
+	records, tombs := 0, 0
+	for _, m := range x.All() {
+		records += m.Count
+		tombs += m.Tombstones
+	}
+	if records != x.Records() || tombs != x.Tombstones() {
+		return fmt.Errorf("cached totals %d/%d, fences hold %d/%d", x.Records(), x.Tombstones(), records, tombs)
+	}
+	return nil
 }
 
 func TestMetaFor(t *testing.T) {
@@ -85,8 +103,8 @@ func TestReplaceRange(t *testing.T) {
 	if x.Records() != 3+2+4+3 {
 		t.Fatalf("Records = %d, want 12", x.Records())
 	}
-	if err := x.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := checkIndex(x); err != nil {
+		t.Fatalf("checkIndex: %v", err)
 	}
 	if x.Meta(1).ID != 100 || x.Meta(2).ID != 101 {
 		t.Errorf("replacement not in place: %+v", x.All())
@@ -101,8 +119,8 @@ func TestReplaceRange(t *testing.T) {
 	if x.Len() != 3 || x.Records() != 12 {
 		t.Errorf("after insert-only: len=%d records=%d", x.Len(), x.Records())
 	}
-	if err := x.Validate(); err != nil {
-		t.Fatalf("Validate after edits: %v", err)
+	if err := checkIndex(x); err != nil {
+		t.Fatalf("checkIndex after edits: %v", err)
 	}
 }
 
@@ -124,11 +142,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		"out of order": {meta(1, 20, 30, 2), meta(2, 0, 10, 2)},
 	}
 	for name, metas := range cases {
-		if err := NewIndex(metas).Validate(); err == nil {
-			t.Errorf("%s: Validate passed", name)
+		if err := ValidateMetas(metas); err == nil {
+			t.Errorf("%s: ValidateMetas passed", name)
 		}
 	}
-	if err := NewIndex(nil).Validate(); err != nil {
+	if err := ValidateMetas(nil); err != nil {
 		t.Errorf("empty index invalid: %v", err)
 	}
 }
@@ -204,7 +222,7 @@ func TestQuickReplaceRangeInvariants(t *testing.T) {
 				}
 			}
 			x.ReplaceRange(i, j, repl)
-			if x.Validate() != nil {
+			if checkIndex(x) != nil {
 				return false
 			}
 		}

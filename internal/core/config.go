@@ -34,7 +34,8 @@ type Config struct {
 	// blocks over Device.
 	CacheBlocks int
 	// BloomBitsPerKey, when positive, maintains per-block Bloom filters
-	// to cut lookup reads for absent keys.
+	// to cut lookup reads for absent keys. Filters are not part of the
+	// exported state: Restore rebuilds them from block contents.
 	BloomBitsPerKey float64
 	// Seed is the configuration's random seed, recorded in the shard
 	// manifest. The engine itself draws no randomness from it (the

@@ -275,6 +275,9 @@ func TestModelCheckAllPolicies(t *testing.T) {
 	}
 }
 
+// TestBloomFiltersCutAbsentReads checks that filters skip the block reads
+// of absent keys, and that a tree restored from exported state on the same
+// device (filters rebuilt from block contents) skips exactly as many.
 func TestBloomFiltersCutAbsentReads(t *testing.T) {
 	cfg := testConfig(policy.NewChooseBest(0.25, true))
 	cfg.BloomBitsPerKey = 10
@@ -285,25 +288,41 @@ func TestBloomFiltersCutAbsentReads(t *testing.T) {
 	for k := block.Key(0); k < 400; k += 2 {
 		putC(tr, k, []byte{1})
 	}
+	probe := func(tr *Tree, leg string) int64 {
+		cfg.Device.ResetCounters()
+		before := tr.Stats().BloomSkipped
+		for k := block.Key(1); k < 400; k += 2 {
+			if _, ok, _ := tr.Get(k); ok {
+				t.Fatalf("%s: odd key %d present", leg, k)
+			}
+		}
+		skipped := tr.Stats().BloomSkipped - before
+		if skipped == 0 {
+			t.Errorf("%s: bloom filters never skipped a read", leg)
+		}
+		reads := cfg.Device.Counters().Reads
+		if reads > 40 { // 200 absent lookups, nearly all should be filtered
+			t.Errorf("%s: absent lookups cost %d reads with blooms on", leg, reads)
+		}
+		// And presence still works.
+		for k := block.Key(0); k < 400; k += 2 {
+			if _, ok, _ := tr.Get(k); !ok {
+				t.Fatalf("%s: present key %d lost with blooms on", leg, k)
+			}
+		}
+		return skipped
+	}
+	live := probe(tr, "live")
 	cfg.Device.ResetCounters()
-	for k := block.Key(1); k < 400; k += 2 {
-		if _, ok, _ := tr.Get(k); ok {
-			t.Fatalf("odd key %d present", k)
-		}
+	rt, err := Restore(cfg, tr.Export())
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg := tr.Blooms()
-	if skipped, _ := reg.Counts(); skipped == 0 {
-		t.Error("bloom filters never skipped a read")
+	if c := cfg.Device.Counters(); c.Reads != 0 || c.Writes != 0 {
+		t.Errorf("Restore counted %d reads and %d writes rebuilding filters", c.Reads, c.Writes)
 	}
-	reads := cfg.Device.Counters().Reads
-	if reads > 40 { // 200 absent lookups, nearly all should be filtered
-		t.Errorf("absent lookups cost %d reads with blooms on", reads)
-	}
-	// And presence still works.
-	for k := block.Key(0); k < 400; k += 2 {
-		if _, ok, _ := tr.Get(k); !ok {
-			t.Fatalf("present key %d lost with blooms on", k)
-		}
+	if restored := probe(rt, "restored"); restored != live {
+		t.Errorf("restored tree skipped %d absent reads, live tree %d", restored, live)
 	}
 }
 

@@ -144,3 +144,42 @@ func TestRepairOfUnreferencedBlockResolves(t *testing.T) {
 		t.Fatalf("stale entry survived: %d", n)
 	}
 }
+
+// TestRestoreKeepsUnreadableBlockUnfiltered: a block that cannot be read
+// while Restore rebuilds Bloom filters does not fail the restore. It keeps
+// a nil filter, so a lookup in its range reads it and surfaces the fault.
+func TestRestoreKeepsUnreadableBlockUnfiltered(t *testing.T) {
+	dev := faultdev.Wrap(storage.NewMemDevice(), faultdev.Options{Seed: 1})
+	cfg := Config{
+		Device:          dev,
+		Policy:          policy.NewChooseBest(0.25, true),
+		BlockCapacity:   4,
+		K0:              2,
+		Gamma:           4,
+		BloomBitsPerKey: 10,
+		Seed:            1,
+	}
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := block.Key(0); k < 200; k++ {
+		if err := putC(tr, k, []byte{byte(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := tr.Level(1).Index().All()[0]
+	dev.Corrupt(bad.ID)
+	rt, err := Restore(cfg, tr.Export())
+	if err != nil {
+		t.Fatalf("Restore over a corrupt block: %v", err)
+	}
+	for _, m := range rt.Level(1).Index().All() {
+		if (m.Filter == nil) != (m.ID == bad.ID) {
+			t.Errorf("block %d: filter %v after restore (corrupt block %d)", m.ID, m.Filter, bad.ID)
+		}
+	}
+	if _, _, err := rt.Get(bad.Min); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("Get in the corrupt block's range = %v, want ErrCorrupt", err)
+	}
+}

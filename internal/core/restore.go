@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
 )
 
@@ -36,7 +38,9 @@ func (t *Tree) Export() ExportedState {
 // Restore builds a tree over an existing device from exported state. The
 // configuration must match the one the state was exported under (block
 // capacity, K0, Γ, ε, layout); the device must already hold every
-// referenced block.
+// referenced block. Bloom filters are not part of the state: when
+// BloomBitsPerKey is on, Restore rebuilds each block's filter from the
+// block's contents (see withFilters).
 func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	t, err := New(cfg)
 	if err != nil {
@@ -58,14 +62,17 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 		}
 		s := t.slots[i]
 		for j, metas := range runs {
+			if err := btree.ValidateMetas(metas); err != nil {
+				return nil, fmt.Errorf("core: restore L%d run %d: %w", i+1, j, err)
+			}
+			if t.cfg.BloomBitsPerKey > 0 {
+				metas = t.withFilters(metas)
+			}
 			if j > 0 {
 				s.runs = append(s.runs, t.newLevel(i+1))
 			}
 			if err := s.runs[j].ReplaceRange(0, 0, metas, nil); err != nil {
 				return nil, err
-			}
-			if err := s.runs[j].Index().Validate(); err != nil {
-				return nil, fmt.Errorf("core: restore L%d run %d: %w", i+1, j, err)
 			}
 		}
 	}
@@ -82,4 +89,20 @@ func Restore(cfg Config, st ExportedState) (*Tree, error) {
 	}
 	t.publish() // expose the restored levels and memtable to readers
 	return t, nil
+}
+
+// withFilters returns a copy of metas carrying each block's Bloom filter,
+// rebuilt from the block's contents. Blocks are read with Peek, so the
+// rebuild counts no device traffic and does not fill the buffer cache. A
+// block that cannot be read keeps a nil filter: lookups then read it and
+// surface the fault to the quarantine path instead of failing the restore.
+func (t *Tree) withFilters(metas []btree.BlockMeta) []btree.BlockMeta {
+	out := slices.Clone(metas)
+	for i := range out {
+		out[i].Filter = nil
+		if blk, err := t.dev.Peek(out[i].ID); err == nil {
+			out[i].Filter = bloom.ForBlock(blk, t.cfg.BloomBitsPerKey)
+		}
+	}
+	return out
 }

@@ -16,6 +16,8 @@ type Stats struct {
 	Merges       int64
 	FullMerges   int64
 	Grows        int64 // times the tree gained a level
+	BloomSkipped int64 // block probes a Bloom filter answered "absent"
+	BloomPassed  int64 // block probes a Bloom filter could not rule out
 }
 
 // counters is the live form of Stats. Mutation counters are bumped by the
@@ -31,6 +33,8 @@ type counters struct {
 	merges       atomic.Int64
 	fullMerges   atomic.Int64
 	grows        atomic.Int64
+	bloomSkipped atomic.Int64
+	bloomPassed  atomic.Int64
 }
 
 // reset zeroes every counter. Writer-side: the caller quiesces mutations;
@@ -46,15 +50,17 @@ func (c *counters) reset() {
 	c.merges.Store(0)
 	c.fullMerges.Store(0)
 	c.grows.Store(0)
+	c.bloomSkipped.Store(0)
+	c.bloomPassed.Store(0)
 }
 
-// ResetStats starts a fresh measurement window: it zeroes the request and
-// merge counters, the device traffic counters, every level's cumulative
-// write series, cache hit/miss counts, Bloom skip statistics, and the
-// latency histograms. Structural state (levels, blocks, snapshots,
-// deferred frees) is untouched. A new snapshot is published so per-level
-// numbers served from the current view reset along with the live ones.
-// Writer-side: callers serialize with mutations.
+// ResetStats starts a fresh measurement window: it zeroes the request,
+// Bloom and merge counters, the device traffic counters, every level's
+// cumulative write series, cache hit/miss counts, and the latency
+// histograms. Structural state (levels, blocks, snapshots, deferred frees)
+// is untouched. A new snapshot is published so per-level numbers served
+// from the current view reset along with the live ones. Writer-side:
+// callers serialize with mutations.
 func (t *Tree) ResetStats() {
 	t.cnt.reset()
 	t.dev.ResetCounters()
@@ -67,9 +73,6 @@ func (t *Tree) ResetStats() {
 	if t.cache != nil {
 		t.cache.ResetStats()
 		t.lastCacheHits, t.lastCacheMisses = 0, 0
-	}
-	if t.blooms != nil {
-		t.blooms.ResetCounts()
 	}
 	t.lat.Reset()
 	t.publish()
@@ -87,6 +90,8 @@ func (t *Tree) Stats() Stats {
 		Merges:       t.cnt.merges.Load(),
 		FullMerges:   t.cnt.fullMerges.Load(),
 		Grows:        t.cnt.grows.Load(),
+		BloomSkipped: t.cnt.bloomSkipped.Load(),
+		BloomPassed:  t.cnt.bloomPassed.Load(),
 	}
 }
 

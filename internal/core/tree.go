@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"lsmssd/internal/block"
-	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
 	"lsmssd/internal/cache"
 	"lsmssd/internal/level"
@@ -24,12 +23,11 @@ import (
 // against an acquired View and may proceed concurrently with the writer
 // and with each other (see view.go and the public lsmssd package).
 type Tree struct {
-	cfg    Config
-	dev    storage.Device // Config.Device, possibly behind a cache
-	cache  *cache.Cache   // non-nil when CacheBlocks > 0
-	blooms *bloom.Registry
-	mem    *memtable.Table
-	slots  []*slot // slots[i] is level L_{i+1}
+	cfg   Config
+	dev   storage.Device // Config.Device, possibly behind a cache
+	cache *cache.Cache   // non-nil when CacheBlocks > 0
+	mem   *memtable.Table
+	slots []*slot // slots[i] is level L_{i+1}
 
 	// Layout and trigger axes, resolved from the policy once at New: the
 	// layout decides how many sorted runs each level may hold, the trigger
@@ -191,9 +189,6 @@ func New(cfg Config) (*Tree, error) {
 		t.cache = cache.New(cfg.Device, cfg.CacheBlocks)
 		t.dev = t.cache
 	}
-	if cfg.BloomBitsPerKey > 0 {
-		t.blooms = bloom.NewRegistry(cfg.BloomBitsPerKey)
-	}
 	t.mem = memtable.New(cfg.Seed)
 	t.slots = append(t.slots, newSlot(t.newLevel(1)))
 	t.publish()
@@ -202,11 +197,11 @@ func New(cfg Config) (*Tree, error) {
 
 func (t *Tree) newLevel(number int) *level.Level {
 	return level.New(level.Config{
-		Device:        treeDevice{t},
-		BlockCapacity: t.cfg.BlockCapacity,
-		Epsilon:       t.cfg.Epsilon,
-		Capacity:      t.cfg.capacityBlocks(number),
-		Blooms:        t.blooms,
+		Device:          treeDevice{t},
+		BlockCapacity:   t.cfg.BlockCapacity,
+		Epsilon:         t.cfg.Epsilon,
+		Capacity:        t.cfg.capacityBlocks(number),
+		BloomBitsPerKey: t.cfg.BloomBitsPerKey,
 	})
 }
 
@@ -271,9 +266,6 @@ func (t *Tree) Device() storage.Device { return t.dev }
 
 // Cache returns the tree-owned buffer cache, or nil.
 func (t *Tree) Cache() *cache.Cache { return t.cache }
-
-// Blooms returns the Bloom filter registry, or nil.
-func (t *Tree) Blooms() *bloom.Registry { return t.blooms }
 
 // Policy returns the merge policy in use.
 func (t *Tree) Policy() policy.Policy { return t.cfg.Policy }

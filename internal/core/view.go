@@ -322,16 +322,6 @@ func (v *View) Height() int { return len(v.levels) + 1 }
 // those an unpublished merge had drained.
 func (v *View) MemLen() int { return v.mem.Len() + len(v.taken) }
 
-// MemBytes returns the request-byte footprint of the records MemLen
-// counts.
-func (v *View) MemBytes() int {
-	n := v.mem.Bytes()
-	for _, r := range v.taken {
-		n += r.Size()
-	}
-	return n
-}
-
 // Levels returns the frozen per-level metadata. Treat as read-only.
 func (v *View) Levels() []LevelView { return v.levels }
 
@@ -392,13 +382,15 @@ func (v *View) GetTraced(k block.Key, sp *obs.Span) ([]byte, bool, error) {
 			if !ok {
 				continue
 			}
-			if t.blooms != nil {
+			if m.Filter != nil {
 				sp.To(obs.PhaseBloom)
-				may := t.blooms.MayContain(m.ID, k)
+				may := m.Filter.MayContain(k)
 				sp.To(obs.PhaseOther)
 				if !may {
+					t.cnt.bloomSkipped.Add(1)
 					continue
 				}
+				t.cnt.bloomPassed.Add(1)
 			}
 			if sp != nil {
 				if t.cache.Contains(m.ID) {

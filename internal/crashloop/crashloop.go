@@ -140,6 +140,15 @@ func Run(cfg Config) (Report, error) {
 		Paranoid: cfg.Paranoid,
 		Layout:   cfg.Layout,
 		TierRuns: cfg.TierRuns,
+		// A small geometry (L0 holds 32 records) makes the default
+		// 512-key space spill into storage levels within a few cycles,
+		// so crashes land mid-merge and recovery restores real blocks.
+		RecordsPerBlock: 8,
+		MemtableBlocks:  4,
+		// Filters on: every reopen rebuilds them from block contents,
+		// and Validate (or -paranoid's restore check) checks each admits
+		// its block's keys.
+		BloomBitsPerKey: 10,
 		WAL: lsmssd.WALOptions{
 			Enabled:      true,
 			Sync:         cfg.Sync,

@@ -91,14 +91,19 @@ func CheckRun(metas []btree.BlockMeta, b int, epsilon float64, peek func(j int) 
 }
 
 // CheckBlock checks a stored data block against its fence metadata:
-// records in strictly ascending key order, and the record count, key range
-// and tombstone count the fence claims.
+// records in strictly ascending key order, the record count, key range
+// and tombstone count the fence claims, and — when the meta carries a
+// Bloom filter — no false negatives: the filter admits every key of the
+// block.
 func CheckBlock(m btree.BlockMeta, blk *block.Block) error {
 	recs := blk.Records()
 	tombs := 0
 	for k, r := range recs {
 		if k > 0 && recs[k-1].Key >= r.Key {
 			return fmt.Errorf("records out of order at %d: %d ≥ %d", k, recs[k-1].Key, r.Key)
+		}
+		if m.Filter != nil && !m.Filter.MayContain(r.Key) {
+			return fmt.Errorf("bloom filter rejects key %d of its block", r.Key)
 		}
 		if r.Tombstone {
 			tombs++

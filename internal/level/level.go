@@ -28,10 +28,10 @@ import (
 type Level struct {
 	dev      storage.Device
 	idx      *btree.Index
-	b        int             // block capacity B in records
-	epsilon  float64         // maximum waste factor ε
-	capacity int             // level capacity K_i in blocks
-	blooms   *bloom.Registry // optional shared per-block Bloom filters
+	b        int     // block capacity B in records
+	epsilon  float64 // maximum waste factor ε
+	capacity int     // level capacity K_i in blocks
+	bloomBPK float64 // Bloom filter bits per key; 0 builds none
 
 	// Slack accounting for block preservation (Section II-B): allowance
 	// accumulates ⌊ε·|X|·B⌋ per merge since the last compaction; used is
@@ -52,9 +52,10 @@ type Config struct {
 	BlockCapacity int     // B, records per block
 	Epsilon       float64 // ε, maximum waste factor
 	Capacity      int     // K_i, level capacity in blocks
-	// Blooms, when non-nil, maintains a Bloom filter per data block to
-	// skip reads for absent keys (shared across the tree's levels).
-	Blooms *bloom.Registry
+	// BloomBitsPerKey, when positive, gives every data block WriteNew
+	// writes a Bloom filter of that many bits per key, held in the
+	// block's meta, so lookups skip reads for absent keys.
+	BloomBitsPerKey float64
 }
 
 // New returns an empty level.
@@ -68,7 +69,7 @@ func New(cfg Config) *Level {
 		b:        cfg.BlockCapacity,
 		epsilon:  cfg.Epsilon,
 		capacity: cfg.Capacity,
-		blooms:   cfg.Blooms,
+		bloomBPK: cfg.BloomBitsPerKey,
 	}
 }
 
@@ -141,18 +142,18 @@ func (l *Level) PeekAt(i int) (*block.Block, error) {
 	return l.dev.Peek(l.idx.Meta(i).ID)
 }
 
-// WriteNew allocates and writes a fresh data block, returning its metadata.
-// It counts one block write against this level.
+// WriteNew allocates and writes a fresh data block, returning its metadata
+// with the block's Bloom filter when filters are on. It counts one block
+// write against this level.
 func (l *Level) WriteNew(b *block.Block) (btree.BlockMeta, error) {
 	id := l.dev.Alloc()
 	if err := l.dev.Write(id, b); err != nil {
 		return btree.BlockMeta{}, err
 	}
-	if l.blooms != nil {
-		l.blooms.Add(id, b)
-	}
 	l.BlocksWritten++
-	return btree.MetaFor(id, b), nil
+	m := btree.MetaFor(id, b)
+	m.Filter = bloom.ForBlock(b, l.bloomBPK)
+	return m, nil
 }
 
 // ReplaceRange performs the bulk-delete of positions [i, j) and bulk-insert
@@ -165,9 +166,6 @@ func (l *Level) ReplaceRange(i, j int, repl []btree.BlockMeta, keep map[storage.
 		}
 		if err := l.dev.Free(m.ID); err != nil {
 			return err
-		}
-		if l.blooms != nil {
-			l.blooms.Drop(m.ID)
 		}
 	}
 	l.idx.ReplaceRange(i, j, repl)

@@ -208,6 +208,44 @@ func TestGetAndAscend(t *testing.T) {
 	}
 }
 
+// TestBloomFilterInMeta: with filters on, WriteNew puts the block's filter
+// in its meta, Get skips the read of an absent key through it, and the run
+// check rejects a filter that does not admit every key of its block.
+func TestBloomFilterInMeta(t *testing.T) {
+	l, _ := newLevel(t)
+	load(t, l, 4)
+	if l.Index().Meta(0).Filter != nil {
+		t.Error("filters off, yet WriteNew built one")
+	}
+	dev := storage.NewMemDevice()
+	l = New(Config{Device: dev, BlockCapacity: 4, Epsilon: 0.2, Capacity: 100, BloomBitsPerKey: 10})
+	load(t, l, 4)
+	sparse := block.New([]block.Record{{Key: 100}, {Key: 110}, {Key: 120}, {Key: 130}})
+	m, err := l.WriteNew(sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Index().ReplaceRange(1, 1, []btree.BlockMeta{m})
+	dev.ResetCounters()
+	for k := block.Key(100); k <= 130; k++ {
+		_, ok, err := l.Get(k)
+		if err != nil || ok != (k%10 == 0) {
+			t.Fatalf("Get(%d) = %v, %v", k, ok, err)
+		}
+	}
+	if r := dev.Counters().Reads; r != 4 { // the 4 present keys only
+		t.Errorf("31 gets in a 4-key block cost %d reads", r)
+	}
+	if err := check(l); err != nil {
+		t.Fatalf("run check with fresh filters: %v", err)
+	}
+	m.Filter = l.Index().Meta(0).Filter // admits keys 0..3, not 100..130
+	l.Index().ReplaceRange(1, 2, []btree.BlockMeta{m})
+	if err := check(l); err == nil || !strings.Contains(err.Error(), "bloom filter rejects") {
+		t.Errorf("run check with a false-negative filter: %v", err)
+	}
+}
+
 func TestReplaceRangePreservesKeptBlocks(t *testing.T) {
 	l, dev := newLevel(t)
 	load(t, l, 4, 4, 4)

@@ -9,7 +9,7 @@ func (l *Level) Get(k block.Key) (block.Record, bool, error) {
 	if !ok {
 		return block.Record{}, false, nil
 	}
-	if l.blooms != nil && !l.blooms.MayContain(l.idx.Meta(i).ID, k) {
+	if f := l.idx.Meta(i).Filter; f != nil && !f.MayContain(k) {
 		return block.Record{}, false, nil
 	}
 	blk, err := l.ReadAt(i)

@@ -265,7 +265,8 @@ type Options struct {
 	// set negative to disable caching).
 	CacheBlocks int
 	// BloomBitsPerKey, when positive, maintains per-block Bloom filters
-	// to skip reads for absent keys.
+	// to skip reads for absent keys. Filters are not persisted: Open
+	// rebuilds them from block contents.
 	BloomBitsPerKey float64
 	// MixedTaus and MixedBeta preset the Mixed policy's parameters
 	// (target level → τ, and the bottom-level decision). Ignored for

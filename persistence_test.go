@@ -284,3 +284,46 @@ func TestDefaultGeometryFileStore(t *testing.T) {
 		t.Fatalf("12k puts never flushed (height %d)", s.Height)
 	}
 }
+
+// TestBloomFiltersSurviveReopen: a reopened store rebuilds every block's
+// Bloom filter from the block's contents, so absent keys skip exactly the
+// block reads they skipped before Close.
+func TestBloomFiltersSurviveReopen(t *testing.T) {
+	opts := lsmssd.Options{
+		Path:            filepath.Join(t.TempDir(), "db.blk"),
+		BloomBitsPerKey: 10,
+		CompactionMode:  lsmssd.SyncCompaction,
+	}
+	db, err := lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 16)
+	for k := uint64(0); k < 40_000; k += 2 {
+		if err := db.Put(k, val); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	absentGets := func(db *lsmssd.DB) int64 {
+		before := db.Stats().BloomSkipped
+		for k := uint64(1); k < 10_000; k += 2 {
+			if _, ok, err := db.Get(k); err != nil || ok {
+				t.Fatalf("Get(%d) = %v, %v; want absent", k, ok, err)
+			}
+		}
+		return db.Stats().BloomSkipped - before
+	}
+	live := absentGets(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = lsmssd.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reopened := absentGets(db)
+	if live == 0 || reopened != live {
+		t.Errorf("absent gets skipped %d block reads before Close, %d after Open", live, reopened)
+	}
+}

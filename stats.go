@@ -330,6 +330,8 @@ func (s *shard) stats() (ShardStats, bool) {
 		MemtableRecords: v.MemLen(),
 		Merges:          ts.Merges,
 		FullMerges:      ts.FullMerges,
+		BloomSkipped:    ts.BloomSkipped,
+		BloomPassed:     ts.BloomPassed,
 	}
 	for _, lv := range v.Levels() {
 		ss.Levels = append(ss.Levels, LevelStats{
@@ -346,9 +348,6 @@ func (s *shard) stats() (ShardStats, bool) {
 	if c := s.tree.Cache(); c != nil {
 		cs := c.Stats()
 		ss.CacheHits, ss.CacheMisses = cs.Hits, cs.Misses
-	}
-	if b := s.tree.Blooms(); b != nil {
-		ss.BloomSkipped, ss.BloomPassed = b.Counts()
 	}
 	cs := s.sched.Snapshot()
 	ss.Compaction = CompactionStats{

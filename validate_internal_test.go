@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"lsmssd/internal/block"
+	"lsmssd/internal/bloom"
 	"lsmssd/internal/btree"
 )
 
 // TestValidateReportsBlockContents corrupts one block of a shard's L1 so
 // that only its contents disagree with a well-formed fence, and asserts
-// DB.Validate names the violated constraint. Both corruptions pass every
-// fence-metadata check; only the per-block content check sees them.
+// DB.Validate names the violated constraint. Every corruption passes each
+// fence-metadata check; only the per-block content check sees it.
 func TestValidateReportsBlockContents(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,6 +31,12 @@ func TestValidateReportsBlockContents(t *testing.T) {
 			recs: []block.Record{{Key: 5, Payload: []byte{1}}, {Key: 3, Payload: []byte{1}}, {Key: 7, Payload: []byte{1}}},
 			edit: func(*btree.BlockMeta) {},
 			want: "out of order",
+		},
+		{
+			name: "bloom filter false negative",
+			recs: []block.Record{{Key: 1, Payload: []byte{1}}, {Key: 2, Payload: []byte{1}}, {Key: 3, Payload: []byte{1}}},
+			edit: func(m *btree.BlockMeta) { m.Filter = bloom.NewFilter([]block.Key{99}, 10) },
+			want: "bloom filter rejects",
 		},
 	}
 	for _, tc := range cases {
