@@ -20,9 +20,10 @@ vet:
 # Repo-specific static analysis: the ten syntactic rules (device-io,
 # global-rand, unchecked-err, layering, tree-state, obs-event,
 # compaction-step, wal-frame, layout-assert, retry-bounded) plus the seven
-# CFG/dataflow rules (lock-discipline, view-refcount, sentinel-error-flow,
-# wal-ordering, goroutine-shutdown, shard-lock-order, span-finish). See
-# internal/lint and DESIGN.md §6, §12.
+# path-sensitive rules (lock-discipline, view-refcount, sentinel-error-flow,
+# wal-ordering, goroutine-shutdown, shard-lock-order, span-finish). Six run
+# under one CFG/dataflow driver; view-refcount and span-finish share one
+# must-release analysis. See internal/lint and DESIGN.md §6, §12.
 lint:
 	$(GO) run ./cmd/lsmlint ./...
 

@@ -70,11 +70,3 @@ func (b *Block) Bytes() int {
 	}
 	return n
 }
-
-// Clone returns a deep copy of the block. Payload bytes are shared (they
-// are immutable by convention); the record slice is copied.
-func (b *Block) Clone() *Block {
-	rs := make([]Record, len(b.records))
-	copy(rs, b.records)
-	return &Block{records: rs}
-}

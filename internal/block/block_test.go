@@ -63,15 +63,6 @@ func TestBlockFind(t *testing.T) {
 	}
 }
 
-func TestBlockClone(t *testing.T) {
-	b := New(recs(1, 2))
-	c := b.Clone()
-	c.records[0].Key = 99
-	if b.records[0].Key != 1 {
-		t.Error("Clone shares record storage with original")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	b := New([]Record{
 		{Key: 1, Payload: []byte("hello")},

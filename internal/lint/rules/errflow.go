@@ -117,10 +117,10 @@ func checkRewrap(ctx *lint.Context, f *ast.File) []lint.Finding {
 // errLive is the backward must-read analysis: the fact is the set of
 // tracked error objects read on every path from here to Exit.
 type errLive struct {
+	reporter
 	info    *types.Info
 	tracked map[types.Object]bool
 	named   map[types.Object]bool // named result vars: bare return reads them
-	report  func(pos token.Pos, obj types.Object)
 	defs    map[*ast.AssignStmt]defInfo
 }
 
@@ -179,8 +179,8 @@ func (a *errLive) node(n ast.Node, f liveSet) {
 	if as, ok := n.(*ast.AssignStmt); ok {
 		// At a tracked definition, the error must already be live (read
 		// downstream on every path) — otherwise some path drops it.
-		if d, isDef := a.defs[as]; isDef && a.report != nil && !f[d.obj] {
-			a.report(d.pos, d.obj)
+		if d, isDef := a.defs[as]; isDef && !f[d.obj] {
+			a.flag(d.pos, fmt.Sprintf("error %q from a sentinel package may be dropped on some path; check it before every return", d.obj.Name()))
 		}
 		// Writes kill liveness; then the RHS reads generate.
 		for _, lhs := range as.Lhs {
@@ -285,7 +285,7 @@ func trackedErrDefs(ctx *lint.Context, body *ast.BlockStmt) map[*ast.AssignStmt]
 
 // namedErrResults returns the function's named result variables (bare
 // returns read them).
-func namedErrResults(info *types.Info, body *ast.BlockStmt, results *ast.FieldList) map[types.Object]bool {
+func namedErrResults(info *types.Info, results *ast.FieldList) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	if results == nil {
 		return out
@@ -314,49 +314,26 @@ var sentinelErrorFlow = lint.Rule{
 		}
 
 		// Violation 3: per-function backward liveness.
-		for _, file := range ctx.Pkg.Files {
-			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				defs := trackedErrDefs(ctx, fd.Body)
-				if len(defs) == 0 {
-					continue
-				}
-				tracked := map[types.Object]bool{}
-				for _, di := range defs {
-					tracked[di.obj] = true
-				}
-				g := cfg.Build(fd.Body)
-				a := &errLive{
-					info:    ctx.Pkg.Info,
-					tracked: tracked,
-					named:   namedErrResults(ctx.Pkg.Info, fd.Body, fd.Type.Results),
-					defs:    defs,
-				}
-				res := dataflow.Backward(g, a)
-
-				seen := map[token.Pos]bool{}
-				a.report = func(pos token.Pos, obj types.Object) {
-					if seen[pos] {
-						return
-					}
-					seen[pos] = true
-					out = append(out, lint.Finding{
-						Pos:  ctx.Pkg.Fset.Position(pos),
-						Rule: "sentinel-error-flow",
-						Msg:  fmt.Sprintf("error %q from a sentinel package may be dropped on some path; check it before every return", obj.Name()),
-					})
-				}
-				for _, b := range g.Blocks {
-					if o, ok := res.Out[b]; ok {
-						a.Transfer(b, o)
-					}
-				}
-				a.report = nil
+		return append(out, checkFlow(ctx, "sentinel-error-flow", true, func(fn fnBody) flowAnalysis {
+			if fn.name == "" {
+				// A literal may assign its enclosing function's error,
+				// which is read after the literal returns.
+				return nil
 			}
-		}
-		return out
+			defs := trackedErrDefs(ctx, fn.body)
+			if len(defs) == 0 {
+				return nil
+			}
+			tracked := map[types.Object]bool{}
+			for _, di := range defs {
+				tracked[di.obj] = true
+			}
+			return &errLive{
+				info:    ctx.Pkg.Info,
+				tracked: tracked,
+				named:   namedErrResults(ctx.Pkg.Info, fn.typ.Results),
+				defs:    defs,
+			}
+		})...)
 	},
 }

@@ -86,27 +86,31 @@ func wantComments(t *testing.T, dir string) map[string][]string {
 // TestFixturesDetected proves every seeded violation of every rule is
 // reported, and nothing else: each fixture carries both the failing
 // shape (marked `// want rule`) and its fixed counterpart (unmarked).
+// Every directory under testdata/src is a fixture, and every registered
+// rule must be wanted by at least one of them.
 func TestFixturesDetected(t *testing.T) {
-	fixtures := []string{
-		// v1 syntactic rules.
-		"devcall", "globalrand", "uncheckederr", "layering",
-		"treestate", "obsevent", "compactionstep", "walframe", "layoutassert",
-		"retrybounded",
-		// v2 path-sensitive rules.
-		"lockdiscipline", "viewrefcount", "errflow", "walordering", "goshutdown",
-		"shardlockorder", "spanfinish",
-		// Driver mechanism.
-		"suppress",
+	entries, err := os.ReadDir("testdata/src")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, fix := range fixtures {
-		fix := fix
+	wanted := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		fix := e.Name()
+		want := wantComments(t, filepath.Join("testdata/src", fix))
+		for _, rules := range want {
+			for _, r := range rules {
+				wanted[r] = true
+			}
+		}
 		t.Run(fix, func(t *testing.T) {
 			rel := "./internal/lint/rules/testdata/src/" + fix
 			findings, err := lint.Run("../../..", []string{rel}, fixtureConfig(), All())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wantComments(t, filepath.Join("testdata/src", fix))
 			if len(want) == 0 && fix != "suppress" {
 				t.Fatalf("fixture %s has no want comments", fix)
 			}
@@ -126,6 +130,11 @@ func TestFixturesDetected(t *testing.T) {
 				}
 			}
 		})
+	}
+	for _, r := range All() {
+		if !wanted[r.Name] {
+			t.Errorf("rule %s has no `// want %s` marker in any fixture", r.Name, r.Name)
+		}
 	}
 }
 

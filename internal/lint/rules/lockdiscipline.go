@@ -22,7 +22,6 @@ package rules
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -38,23 +37,14 @@ const (
 	lsEscaped
 )
 
-// lockAnalysis implements dataflow.Analysis; the fact is the state
-// bitmask. report is nil during the fixpoint and set during the replay
-// pass that emits findings from the stable facts.
+// lockAnalysis is a flowAnalysis over the state bitmask.
 type lockAnalysis struct {
+	maskLattice
 	ctx    *lint.Context
 	tokens map[types.Object]bool // unlock funcs bound from acquire helpers
-	report func(pos token.Pos, msg string)
 }
 
 func (a *lockAnalysis) Boundary() dataflow.Fact { return lsUnlocked }
-func (a *lockAnalysis) Meet(x, y dataflow.Fact) dataflow.Fact {
-	return x.(uint8) | y.(uint8)
-}
-func (a *lockAnalysis) Equal(x, y dataflow.Fact) bool { return x.(uint8) == y.(uint8) }
-func (a *lockAnalysis) FilterEdge(from *cfg.Block, e cfg.Edge, f dataflow.Fact) dataflow.Fact {
-	return f
-}
 
 func (a *lockAnalysis) Transfer(b *cfg.Block, in dataflow.Fact) dataflow.Fact {
 	mask := in.(uint8)
@@ -97,7 +87,7 @@ func onDeferUnlock(s uint8) uint8 {
 }
 
 // node applies one statement's lock operations to the mask, emitting
-// findings through a.report when set.
+// findings through the reporter when armed.
 func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 	cfgc := a.ctx.Cfg
 
@@ -138,8 +128,8 @@ func (a *lockAnalysis) node(n ast.Node, mask uint8) uint8 {
 				mask = mapStates(mask, onUnlock)
 			default:
 				if sel, s, ok := restrictedMethodCall(a.ctx, x, cfgc.TreePkg, "Tree", cfgc.TreeMutateMethods); ok {
-					if mask&lsUnlocked != 0 && a.report != nil {
-						a.report(sel.Sel.Pos(), fmt.Sprintf(
+					if mask&lsUnlocked != 0 {
+						a.flag(sel.Sel.Pos(), fmt.Sprintf(
 							"core.Tree.%s may run without %s held on some path; acquire the writer lock before mutating",
 							s.Obj().Name(), cfgc.LockName))
 					}
@@ -234,40 +224,19 @@ var lockDiscipline = lint.Rule{
 		if ctx.Cfg.LockName == "" || !inList(ctx.Pkg.Path, ctx.Cfg.LockCheckedPkgs) {
 			return nil
 		}
-		var out []lint.Finding
-		for _, fn := range functions(ctx.Pkg) {
+		return checkFlow(ctx, "lock-discipline", false, func(fn fnBody) flowAnalysis {
 			if strings.HasSuffix(fn.name, "Locked") {
-				continue // caller-holds-lock convention
+				return nil // caller-holds-lock convention
 			}
-			g := cfg.Build(fn.body)
-			a := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body)}
-			res := dataflow.Forward(g, a)
-
-			// Replay with the stable in-facts to emit mutation findings
-			// exactly once per site.
-			a.report = func(pos token.Pos, msg string) {
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(pos),
-					Rule: "lock-discipline",
-					Msg:  msg,
-				})
-			}
-			for _, b := range g.Blocks {
-				if in, ok := res.In[b]; ok {
-					a.Transfer(b, in)
-				}
-			}
-			a.report = nil
-
-			if exitIn, ok := res.In[g.Exit]; ok && exitIn.(uint8)&lsLocked != 0 {
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(fn.pos),
-					Rule: "lock-discipline",
-					Msg: fmt.Sprintf("%s may still be held at return on some path; unlock on every exit or defer the unlock",
-						ctx.Cfg.LockName),
-				})
-			}
-		}
-		return out
+			return &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body)}
+		})
 	},
+}
+
+func (a *lockAnalysis) atExit(fn fnBody, f dataflow.Fact) {
+	if f.(uint8)&lsLocked != 0 {
+		a.flag(fn.pos, fmt.Sprintf(
+			"%s may still be held at return on some path; unlock on every exit or defer the unlock",
+			a.ctx.Cfg.LockName))
+	}
 }

@@ -25,7 +25,6 @@ package rules
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"strings"
 
 	"lsmssd/internal/lint"
@@ -38,25 +37,16 @@ const (
 	shHeld
 )
 
-// shardOrderAnalysis implements dataflow.Analysis; the fact is the
-// {unheld, held} bitmask. The embedded lockAnalysis supplies the
-// Lock/Unlock/helper/token call classifiers (its own dataflow machinery
-// is unused here). report is nil during the fixpoint and set during the
-// replay pass that emits findings from the stable facts.
+// shardOrderAnalysis is a flowAnalysis over the {unheld, held} bitmask.
+// The lockAnalysis supplies the Lock/Unlock/helper/token call classifiers
+// (its own dataflow machinery is unused here).
 type shardOrderAnalysis struct {
-	ctx    *lint.Context
-	la     *lockAnalysis
-	report func(pos token.Pos, msg string)
+	maskLattice
+	ctx *lint.Context
+	la  *lockAnalysis
 }
 
 func (a *shardOrderAnalysis) Boundary() dataflow.Fact { return shUnheld }
-func (a *shardOrderAnalysis) Meet(x, y dataflow.Fact) dataflow.Fact {
-	return x.(uint8) | y.(uint8)
-}
-func (a *shardOrderAnalysis) Equal(x, y dataflow.Fact) bool { return x.(uint8) == y.(uint8) }
-func (a *shardOrderAnalysis) FilterEdge(from *cfg.Block, e cfg.Edge, f dataflow.Fact) dataflow.Fact {
-	return f
-}
 
 func (a *shardOrderAnalysis) Transfer(b *cfg.Block, in dataflow.Fact) dataflow.Fact {
 	mask := in.(uint8)
@@ -85,15 +75,15 @@ func (a *shardOrderAnalysis) node(n ast.Node, mask uint8) uint8 {
 		}
 		switch {
 		case la.isLockCall(call):
-			if mask&shHeld != 0 && a.report != nil {
-				a.report(call.Pos(), fmt.Sprintf(
+			if mask&shHeld != 0 {
+				a.flag(call.Pos(), fmt.Sprintf(
 					"%s.Lock while another shard's writer lock may be held; multi-shard acquisition is reserved for %s",
 					a.ctx.Cfg.LockName, strings.Join(a.ctx.Cfg.ShardFanoutFuncs, ", ")))
 			}
 			mask = shHeld
 		case la.isHelperCall(call):
-			if mask&shHeld != 0 && a.report != nil {
-				a.report(call.Pos(), fmt.Sprintf(
+			if mask&shHeld != 0 {
+				a.flag(call.Pos(), fmt.Sprintf(
 					"lock-acquire helper %s called while a shard writer lock may be held; multi-shard acquisition is reserved for %s",
 					finalName(call.Fun), strings.Join(a.ctx.Cfg.ShardFanoutFuncs, ", ")))
 			}
@@ -158,29 +148,13 @@ var shardLockOrder = lint.Rule{
 		for _, fn := range functions(ctx.Pkg) {
 			if inList(fn.name, ctx.Cfg.ShardFanoutFuncs) {
 				out = append(out, fanoutFindings(ctx, fn)...)
-				continue
 			}
-			g := cfg.Build(fn.body)
-			la := &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body)}
-			a := &shardOrderAnalysis{ctx: ctx, la: la}
-			res := dataflow.Forward(g, a)
-
-			// Replay with the stable in-facts to emit nesting findings
-			// exactly once per site.
-			a.report = func(pos token.Pos, msg string) {
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(pos),
-					Rule: "shard-lock-order",
-					Msg:  msg,
-				})
-			}
-			for _, b := range g.Blocks {
-				if in, ok := res.In[b]; ok {
-					a.Transfer(b, in)
-				}
-			}
-			a.report = nil
 		}
-		return out
+		return append(out, checkFlow(ctx, "shard-lock-order", false, func(fn fnBody) flowAnalysis {
+			if inList(fn.name, ctx.Cfg.ShardFanoutFuncs) {
+				return nil // checked syntactically above
+			}
+			return &shardOrderAnalysis{ctx: ctx, la: &lockAnalysis{ctx: ctx, tokens: lockTokens(ctx, fn.body)}}
+		})...)
 	},
 }

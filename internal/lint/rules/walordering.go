@@ -18,7 +18,6 @@ package rules
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"lsmssd/internal/lint"
@@ -43,8 +42,8 @@ type walFact struct {
 }
 
 type walAnalysis struct {
-	ctx    *lint.Context
-	report func(pos token.Pos, msg string)
+	reporter
+	ctx *lint.Context
 }
 
 func (a *walAnalysis) Boundary() dataflow.Fact { return walFact{mask: woStart} }
@@ -63,14 +62,13 @@ func (a *walAnalysis) Equal(x, y dataflow.Fact) bool {
 
 func (a *walAnalysis) FilterEdge(from *cfg.Block, e cfg.Edge, f dataflow.Fact) dataflow.Fact {
 	fact := f.(walFact)
-	if e.Cond == nil || fact.mask&woPending == 0 || fact.err == nil {
+	if fact.mask&woPending == 0 || fact.err == nil {
 		return f
 	}
-	obj, neq, ok := nilCheck(a.ctx.Pkg.Info, e.Cond)
+	obj, errBranch, ok := nilEdge(a.ctx.Pkg.Info, e)
 	if !ok || obj != fact.err {
 		return f
 	}
-	errBranch := (neq && e.Kind == cfg.True) || (!neq && e.Kind == cfg.False)
 	fact.mask &^= woPending
 	if errBranch {
 		fact.mask |= woFailed
@@ -119,12 +117,10 @@ func (a *walAnalysis) node(n ast.Node, fact walFact) walFact {
 			return true
 		}
 		if sel, _, ok := restrictedMethodCall(a.ctx, call, a.ctx.Cfg.TreePkg, "Tree", walApplyMethods); ok {
-			if a.report != nil {
-				if fact.mask&woPending != 0 {
-					a.report(sel.Sel.Pos(), "memtable apply before the wal append's error is checked; an acked write could vanish — check the append error first")
-				} else if fact.mask&woFailed != 0 {
-					a.report(sel.Sel.Pos(), "memtable apply on a failed wal append path; the mutation would be unlogged — return the append error instead")
-				}
+			if fact.mask&woPending != 0 {
+				a.flag(sel.Sel.Pos(), "memtable apply before the wal append's error is checked; an acked write could vanish — check the append error first")
+			} else if fact.mask&woFailed != 0 {
+				a.flag(sel.Sel.Pos(), "memtable apply on a failed wal append path; the mutation would be unlogged — return the append error instead")
 			}
 			fact.mask = applyTransition(fact.mask)
 		}
@@ -134,8 +130,8 @@ func (a *walAnalysis) node(n ast.Node, fact walFact) walFact {
 }
 
 func (a *walAnalysis) onAppend(call *ast.CallExpr, fact walFact) walFact {
-	if a.report != nil && fact.mask&woApplied != 0 {
-		a.report(call.Pos(), "wal append after the memtable apply inverts the commit protocol; log the mutation before applying it")
+	if fact.mask&woApplied != 0 {
+		a.flag(call.Pos(), "wal append after the memtable apply inverts the commit protocol; log the mutation before applying it")
 	}
 	var mask uint8
 	for bit := woStart; bit <= woApplied; bit <<= 1 {
@@ -168,31 +164,8 @@ var walOrdering = lint.Rule{
 		if ctx.Cfg.WALPkg == "" || !inList(ctx.Pkg.Path, ctx.Cfg.WALOrderPkgs) {
 			return nil
 		}
-		var out []lint.Finding
-		seen := map[token.Pos]bool{}
-		for _, fn := range functions(ctx.Pkg) {
-			g := cfg.Build(fn.body)
-			a := &walAnalysis{ctx: ctx}
-			res := dataflow.Forward(g, a)
-
-			a.report = func(pos token.Pos, msg string) {
-				if seen[pos] {
-					return
-				}
-				seen[pos] = true
-				out = append(out, lint.Finding{
-					Pos:  ctx.Pkg.Fset.Position(pos),
-					Rule: "wal-ordering",
-					Msg:  msg,
-				})
-			}
-			for _, b := range g.Blocks {
-				if in, ok := res.In[b]; ok {
-					a.Transfer(b, in)
-				}
-			}
-			a.report = nil
-		}
-		return out
+		return checkFlow(ctx, "wal-ordering", false, func(fnBody) flowAnalysis {
+			return &walAnalysis{ctx: ctx}
+		})
 	},
 }

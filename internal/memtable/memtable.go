@@ -65,7 +65,6 @@ type spine struct {
 	fences []block.Key
 	leaves []*leaf
 	n      int // records, including tombstones
-	bytes  int // request-byte footprint of the records
 }
 
 // leafAt returns the index of the leaf whose key range would hold k: the
@@ -123,9 +122,6 @@ func (t *Table) Len() int { return t.n }
 // until the table changes. Calls that change nothing leave it alone.
 func (t *Table) Version() uint64 { return t.version }
 
-// Bytes returns the total request-byte footprint of the stored records.
-func (t *Table) Bytes() int { return t.bytes }
-
 // ownSpine makes the fences and leaves slices writable: if a snapshot may
 // share their backing arrays, they are copied first.
 func (t *Table) ownSpine() {
@@ -167,15 +163,13 @@ func (t *Table) Put(r block.Record) {
 		t.ownSpine()
 		t.fences = append(t.fences, r.Key)
 		t.leaves = append(t.leaves, newLeaf(t.epoch, []block.Record{r}))
-		t.n, t.bytes = 1, r.Size()
+		t.n = 1
 		return
 	}
 	i := max(t.leafAt(r.Key), 0)
 	j, found := t.leaves[i].search(r.Key)
 	if found {
-		lf := t.ownLeaf(i)
-		t.bytes += r.Size() - lf.recs[j].Size()
-		lf.recs[j] = r
+		t.ownLeaf(i).recs[j] = r
 		return
 	}
 	if len(t.leaves[i].recs) == maxLeaf {
@@ -193,7 +187,6 @@ func (t *Table) Put(r block.Record) {
 		t.fences[i] = r.Key
 	}
 	t.n++
-	t.bytes += r.Size()
 }
 
 // split replaces the full leaf i with two half leaves.
@@ -268,9 +261,6 @@ func (t *Table) TakeRange(lo, hi block.Key) []block.Record {
 			out = append(out, lf.recs...)
 		}
 		out = append(out, t.leaves[e].recs[:f]...)
-	}
-	for _, r := range out {
-		t.bytes -= r.Size()
 	}
 	t.n -= len(out)
 	t.remove(i, j, e, f)
@@ -401,9 +391,6 @@ func (t *Table) Snapshot() Snapshot {
 
 // Len returns the number of records (including tombstones) in the snapshot.
 func (s *Snapshot) Len() int { return s.s.n }
-
-// Bytes returns the request-byte footprint at capture time.
-func (s *Snapshot) Bytes() int { return s.s.bytes }
 
 // Get returns the record stored for k at capture time, if any.
 func (s *Snapshot) Get(k block.Key) (block.Record, bool) { return s.s.get(k) }

@@ -41,22 +41,6 @@ func TestPutGetOverwrite(t *testing.T) {
 	}
 }
 
-func TestBytesAccounting(t *testing.T) {
-	m := New(1)
-	m.Put(block.Record{Key: 1, Payload: make([]byte, 10)})
-	if m.Bytes() != 18 {
-		t.Fatalf("Bytes = %d, want 18", m.Bytes())
-	}
-	m.Put(block.Record{Key: 1, Payload: make([]byte, 4)})
-	if m.Bytes() != 12 {
-		t.Fatalf("Bytes after overwrite = %d, want 12", m.Bytes())
-	}
-	m.Delete(1)
-	if m.Bytes() != 0 {
-		t.Fatalf("Bytes after delete = %d, want 0", m.Bytes())
-	}
-}
-
 func TestDelete(t *testing.T) {
 	m := New(1)
 	for k := block.Key(0); k < 100; k++ {
@@ -242,7 +226,7 @@ func checkShape(t *testing.T, m *Table) {
 	if len(m.fences) != len(m.leaves) {
 		t.Fatalf("%d fences for %d leaves", len(m.fences), len(m.leaves))
 	}
-	n, bytes := 0, 0
+	n := 0
 	var prev block.Key
 	for i, lf := range m.leaves {
 		if len(lf.recs) == 0 || len(lf.recs) > maxLeaf {
@@ -257,11 +241,10 @@ func checkShape(t *testing.T, m *Table) {
 			}
 			prev = r.Key
 			n++
-			bytes += r.Size()
 		}
 	}
-	if n != m.Len() || bytes != m.Bytes() {
-		t.Fatalf("counted %d records / %d bytes, table says %d / %d", n, bytes, m.Len(), m.Bytes())
+	if n != m.Len() {
+		t.Fatalf("counted %d records, table says %d", n, m.Len())
 	}
 }
 
@@ -331,23 +314,21 @@ func TestTakeRangeAcrossLeaves(t *testing.T) {
 		}
 		checkShape(t, m)
 	}
-	if m.Len() != 0 || len(m.leaves) != 0 || m.Bytes() != 0 {
+	if m.Len() != 0 || len(m.leaves) != 0 {
 		t.Fatalf("table not empty after draining everything: %d records, %d leaves", m.Len(), len(m.leaves))
 	}
 }
 
 // frozen is what a test expects a pinned snapshot to keep returning.
 type frozen struct {
-	snap  Snapshot
-	recs  []block.Record // sorted, as captured
-	bytes int
+	snap Snapshot
+	recs []block.Record // sorted, as captured
 }
 
 func freeze(m *Table, model map[block.Key]block.Record) frozen {
 	f := frozen{snap: m.Snapshot()}
 	for _, r := range model {
 		f.recs = append(f.recs, r)
-		f.bytes += r.Size()
 	}
 	sort.Slice(f.recs, func(i, j int) bool { return f.recs[i].Key < f.recs[j].Key })
 	return f
@@ -360,8 +341,8 @@ func sameRecord(a, b block.Record) bool {
 // verify reports how the snapshot differs from its captured contents, or
 // "" when it does not.
 func (f *frozen) verify(rng *rand.Rand, keySpace int) string {
-	if f.snap.Len() != len(f.recs) || f.snap.Bytes() != f.bytes {
-		return fmt.Sprintf("Len/Bytes %d/%d, captured %d/%d", f.snap.Len(), f.snap.Bytes(), len(f.recs), f.bytes)
+	if f.snap.Len() != len(f.recs) {
+		return fmt.Sprintf("Len %d, captured %d", f.snap.Len(), len(f.recs))
 	}
 	lo := block.Key(rng.Intn(keySpace))
 	hi := lo + block.Key(rng.Intn(keySpace/2))
@@ -402,7 +383,7 @@ func (f *frozen) verify(rng *rand.Rand, keySpace int) string {
 
 // Property: snapshots are frozen. Snapshots pinned at random points of a
 // random Put/Delete/TakeRange sequence return exactly their captured
-// Get, Ascend, Len and Bytes, however the table changes after them, and
+// Get, Ascend and Len, however the table changes after them, and
 // the table itself keeps matching a map model.
 func TestQuickSnapshotIsolation(t *testing.T) {
 	const keySpace = 600

@@ -160,11 +160,6 @@ func TestComposeNamesAndAxes(t *testing.T) {
 	if c.Name() != "Full" || !c.Preserve() || TriggerOf(c).Name() != "level-overflow" {
 		t.Errorf("zero Spec compiled to %q preserve=%v trigger=%q", c.Name(), c.Preserve(), TriggerOf(c).Name())
 	}
-	// WithTrigger swaps only the trigger.
-	st := p.WithTrigger(SizeRatio{Ratio: 0.5})
-	if TriggerOf(st).Name() != "size-ratio(0.50)" || st.Name() != p.Name() {
-		t.Error("WithTrigger wrong")
-	}
 	// Non-composed policies read as leveling / level-overflow.
 	if LayoutOf(nopPolicy{}).Kind != Leveling || TriggerOf(nopPolicy{}).Name() != "level-overflow" {
 		t.Error("non-composed policy axes wrong")

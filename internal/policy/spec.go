@@ -92,13 +92,6 @@ func (c *Compiled) WithLayout(l Layout) *Compiled {
 	return &out
 }
 
-// WithTrigger returns a copy of the policy with a different trigger.
-func (c *Compiled) WithTrigger(tr Trigger) *Compiled {
-	out := *c
-	out.trigger = tr
-	return &out
-}
-
 // Relayout returns p running under layout l. Every engine policy is a
 // Compiled; a foreign Policy implementation has no layout axis to change
 // and is returned unmodified. Callers outside this package must use this
